@@ -130,8 +130,7 @@ void run_builder(benchmark::State& state, core::HistMethod method, bool packed) 
   in.node_totals = f.totals;
   in.node_count = static_cast<std::uint32_t>(f.rows.size());
   for (auto _ : state) {
-    hist.clear();
-    builder->build(dev, in, hist);
+    builder->build(dev, in, hist);  // re-zeroes its feature slots first
     benchmark::DoNotOptimize(hist.sums.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(f.rows.size()) *

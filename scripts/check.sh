@@ -122,11 +122,14 @@ if [[ "${GBMO_CHECK_TSAN:-1}" != "0" ]]; then
     tsan_build="${GBMO_CHECK_TSAN_BUILD_DIR:-$repo/build-tsan}"
     cmake -B "$tsan_build" -S "$repo" -DGBMO_SANITIZE=thread
     cmake --build "$tsan_build" -j "$(nproc)" --target gbmo_tests
-    # Force multiple scheduler workers so TSan actually sees cross-thread
-    # traffic even on small grids / 1-core hosts.
+    # Force multiple scheduler workers so TSan sees cross-thread traffic even
+    # on small grids / 1-core hosts. Only commit-free launches fan out
+    # (ordered ones run inline at any width, sim/launch.h): gradients, score
+    # updates and the compiled engine's route and reduce kernels, which
+    # CompiledModel runs at 1 and 4 threads.
     GBMO_SIM_THREADS=4 ctest --test-dir "$tsan_build" --output-on-failure \
-      -R 'ThreadPool|SimParallel|Registry\.|ModelServer\.|Serve\.Batcher|OutOfCore|Distributed|Workloads'
-    echo "check: TSan stage OK (ThreadPool + SimParallel + serve registry/batcher + out-of-core + distributed + workloads under -fsanitize=thread)"
+      -R 'ThreadPool|SimParallel|CompiledModel|Registry\.|ModelServer\.|Serve\.Batcher|OutOfCore|Distributed|Workloads'
+    echo "check: TSan stage OK (ThreadPool + SimParallel + CompiledModel + serve registry/batcher + out-of-core + distributed + workloads under -fsanitize=thread)"
   else
     echo "check: TSan stage skipped (toolchain cannot link -fsanitize=thread)"
   fi

@@ -1,7 +1,6 @@
 #include "common/thread_pool.h"
 
 #include <algorithm>
-#include <atomic>
 #include <exception>
 #include <limits>
 #include <utility>
@@ -77,57 +76,6 @@ void ThreadPool::worker_loop() {
     }
     task();
   }
-}
-
-void ThreadPool::parallel_for(std::size_t n,
-                              const std::function<void(std::size_t)>& fn) {
-  if (n == 0) return;
-  std::size_t n_workers;
-  {
-    std::lock_guard<std::mutex> lock(mu_);
-    n_workers = workers_.size();
-  }
-  if (n_workers == 0 || n == 1 || in_worker()) {
-    // Inline path (no workers, trivial range, or nested call from a worker):
-    // exceptions propagate naturally and the pool's queue is never touched,
-    // so nesting cannot deadlock.
-    InWorkerScope scope;
-    for (std::size_t i = 0; i < n; ++i) fn(i);
-    return;
-  }
-  const std::size_t n_chunks = std::min(n, n_workers * 4);
-  const std::size_t chunk = (n + n_chunks - 1) / n_chunks;
-  std::mutex done_mu;
-  std::condition_variable done_cv;
-  std::size_t remaining = n_chunks;
-  std::size_t first_failed = std::numeric_limits<std::size_t>::max();
-  std::exception_ptr error;
-  std::atomic<bool> abort{false};
-  for (std::size_t c = 0; c < n_chunks; ++c) {
-    const std::size_t lo = c * chunk;
-    const std::size_t hi = std::min(n, lo + chunk);
-    submit([&, lo, hi] {
-      for (std::size_t i = lo; i < hi; ++i) {
-        if (abort.load(std::memory_order_relaxed)) break;
-        try {
-          fn(i);
-        } catch (...) {
-          abort.store(true, std::memory_order_relaxed);
-          std::lock_guard<std::mutex> lock(done_mu);
-          if (i < first_failed) {
-            first_failed = i;
-            error = std::current_exception();
-          }
-          break;
-        }
-      }
-      std::lock_guard<std::mutex> lock(done_mu);
-      if (--remaining == 0) done_cv.notify_one();
-    });
-  }
-  std::unique_lock<std::mutex> lock(done_mu);
-  done_cv.wait(lock, [&] { return remaining == 0; });
-  if (error) std::rethrow_exception(error);
 }
 
 void ThreadPool::run_workers(std::size_t n_workers,

@@ -1,13 +1,12 @@
-// A small thread pool with parallel_for / run_workers convenience wrappers.
+// A small thread pool whose one fan-out primitive is run_workers.
 //
-// The GPU simulator distributes simulated thread blocks over this pool (see
-// sim/launch.h and sim/scheduler.h). Guarantees:
-//   - exceptions thrown inside iterations propagate to the caller (the
-//     lowest-indexed captured exception is rethrown; remaining iterations
-//     are skipped on a best-effort basis once a failure is observed);
-//   - parallel_for / run_workers called from inside a pool worker run inline
-//     on the calling thread, so nested parallelism cannot deadlock on the
-//     shared task queue;
+// The GPU simulator distributes the blocks of commit-free launches over this
+// pool (see sim/launch.h and sim/scheduler.h). Guarantees:
+//   - exceptions thrown inside workers propagate to the caller (the
+//     lowest-indexed captured exception is rethrown);
+//   - run_workers called from inside a pool worker runs inline on the
+//     calling thread, so nested parallelism cannot deadlock on the shared
+//     task queue;
 //   - ensure_workers() grows the pool on demand, so a simulation configured
 //     for N workers really runs N OS threads even on hosts with fewer cores
 //     (results never depend on the worker count — see sim/launch.h).
@@ -42,11 +41,6 @@ class ThreadPool {
   // thread while it participates in run_workers). Nested parallel calls use
   // this to fall back to inline execution.
   static bool in_worker();
-
-  // Runs fn(i) for i in [0, n) and blocks until all iterations complete.
-  // Iterations are chunked to limit scheduling overhead. Runs inline when
-  // called from a pool worker or when the pool has no workers.
-  void parallel_for(std::size_t n, const std::function<void(std::size_t)>& fn);
 
   // Runs fn(w) for w in [0, n_workers) with each invocation on its own
   // thread; the calling thread participates as worker 0. Blocks until every

@@ -20,22 +20,29 @@ namespace gbmo::core {
 
 namespace {
 
-// Scopes a config-level fault plan (TrainConfig::faults) to one fit() call:
-// arms it on entry, clears the override on exit so a later fit in the same
-// process falls back to whatever --sim-faults / GBMO_SIM_FAULTS set up.
-class FaultArmGuard {
+// Scopes the config's process-wide knobs to one fit() call: the fault plan
+// (TrainConfig::faults) and the scheduler width (TrainConfig::sim_threads)
+// are applied on entry and undone on every exit, return or throw, so a later
+// fit or compiled-engine batch in the same process falls back to whatever
+// --sim-faults / GBMO_SIM_FAULTS and --sim-threads / GBMO_SIM_THREADS set up.
+class FitScope {
  public:
-  explicit FaultArmGuard(const std::string& spec) : armed_(!spec.empty()) {
-    if (armed_) sim::set_sim_faults(spec);
+  explicit FitScope(const TrainConfig& cfg)
+      : faults_(!cfg.faults.empty()), threads_(cfg.sim_threads > 0) {
+    if (faults_) sim::set_sim_faults(cfg.faults);
+    if (threads_) prev_threads_ = sim::set_sim_threads(cfg.sim_threads);
   }
-  FaultArmGuard(const FaultArmGuard&) = delete;
-  FaultArmGuard& operator=(const FaultArmGuard&) = delete;
-  ~FaultArmGuard() {
-    if (armed_) sim::reset_sim_faults();
+  FitScope(const FitScope&) = delete;
+  FitScope& operator=(const FitScope&) = delete;
+  ~FitScope() {
+    if (faults_) sim::reset_sim_faults();
+    if (threads_) sim::set_sim_threads(prev_threads_);
   }
 
  private:
-  bool armed_;
+  bool faults_;
+  bool threads_;
+  int prev_threads_ = 0;
 };
 
 }  // namespace
@@ -130,16 +137,14 @@ Model GbmoBooster::fit(const data::Dataset& train, const Loss* loss_override,
   const int d = train.n_outputs();
   GBMO_CHECK(n > 0 && d >= 1);
 
-  // Apply the config's host-parallelism knob for this and later runs (0
-  // keeps the process default; results are identical either way). Same for
-  // the race/memory checker — arm it in report mode unless a stronger
+  // Arm the race/memory checker in report mode unless a stronger
   // process-wide mode (env or set_sim_check) is already active.
-  if (config_.sim_threads > 0) sim::set_sim_threads(config_.sim_threads);
   if (config_.sim_check && !sim::sim_check_enabled()) {
     sim::set_sim_check(sim::CheckMode::kReport);
   }
-  // Config-level fault plan, scoped to this fit (sim/faults.h).
-  FaultArmGuard fault_guard(config_.faults);
+  // Config-level fault plan and scheduler width, scoped to this fit (0
+  // threads keeps the process default; results are identical either way).
+  FitScope fit_scope(config_);
 
   // Topology (DESIGN.md §13): n_nodes × gpus-per-node, intra-node traffic on
   // the booster's link, inter-node traffic on the configured network link.

@@ -249,31 +249,37 @@ void predict_compiled(sim::Device& dev, const CompiledModel& m,
     });
 
     // --- Phase 2: reduction. One block per row chunk accumulates each
-    // row's score vector over all trees in ascending tree order (so every
-    // score word sees the exact float-addition sequence of the scalar
-    // reference), stages the chunk's partial score vectors block-privately,
-    // and flushes them under blk.commit() — block-id-ordered, hence
-    // bit-identical for any --sim-threads value.
-    // Retryable: the commit stores (not adds) each score word, so a retried
-    // reduce overwrites any partial flush from the faulted attempt.
+    // row's score vector over all trees in ascending tree order, in place in
+    // the zeroed score rows (so every score word sees the exact
+    // float-addition sequence of the scalar reference). Every score word is
+    // owned by exactly one block, so the writes are block-partitioned — no
+    // commit, so the launch fans out, and the checker verifies exactly that
+    // through each row's final store.
+    // Restage-on-retry: the tile's rows are re-zeroed before every attempt,
+    // so a retried reduce never adds onto a faulted attempt's partial sums.
     sim::with_retry(dev, [&] {
+    std::fill(scores.begin() + static_cast<std::ptrdiff_t>(tile_lo * d),
+              scores.begin() + static_cast<std::ptrdiff_t>(tile_hi * d), 0.0f);
     sim::launch(dev, "predict_compiled_reduce", chunks, kBlock,
                 [&](sim::BlockCtx& blk) {
       const std::size_t row_lo =
           tile_lo + static_cast<std::size_t>(blk.block_id()) * kBlock;
       const std::size_t row_hi = std::min(tile_hi, row_lo + kBlock);
-      std::vector<float> local(
-          (row_hi > row_lo ? row_hi - row_lo : 0) * static_cast<std::size_t>(d),
-          0.0f);
+      auto scores_v = blk.global_view(scores, "compiled_scores");
       blk.threads([&](int tid) {
         const std::size_t i = row_lo + static_cast<std::size_t>(tid);
         if (i >= row_hi) return;
-        float* acc = local.data() + (i - row_lo) * static_cast<std::size_t>(d);
+        const std::size_t off = i * static_cast<std::size_t>(d);
+        float* acc = scores.data() + off;
         const std::int32_t* li =
             leaf_idx.data() + (i - tile_lo) * n_trees;
         for (std::size_t t = 0; t < n_trees; ++t) {
           const float* src = pool.data() + static_cast<std::size_t>(li[t]);
           for (int k = 0; k < d; ++k) acc[static_cast<std::size_t>(k)] += src[k];
+        }
+        for (int k = 0; k < d; ++k) {
+          scores_v.store(off + static_cast<std::size_t>(k),
+                         acc[static_cast<std::size_t>(k)]);
         }
         auto& s = blk.stats();
         // Per tree: the scratch word (coalesced) plus the pooled leaf-vector
@@ -284,18 +290,6 @@ void predict_compiled(sim::Device& dev, const CompiledModel& m,
         s.gmem_random_accesses += static_cast<std::uint64_t>(n_trees);
         s.flops += static_cast<std::uint64_t>(n_trees) *
                    static_cast<std::uint64_t>(d);
-      });
-      auto scores_v = blk.global_view(scores, "compiled_scores");
-      blk.commit([&] {
-        for (std::size_t i = row_lo; i < row_hi; ++i) {
-          const std::size_t off = i * static_cast<std::size_t>(d);
-          const float* src =
-              local.data() + (i - row_lo) * static_cast<std::size_t>(d);
-          for (int k = 0; k < d; ++k) {
-            scores_v.store(off + static_cast<std::size_t>(k),
-                           src[static_cast<std::size_t>(k)]);
-          }
-        }
       });
       // Final score write-out, coalesced.
       blk.stats().gmem_coalesced_bytes +=

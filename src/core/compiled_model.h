@@ -15,13 +15,15 @@
 // ([node_base[t], node_base[t+1])), so a block can stage a whole group of
 // trees into shared memory with coalesced loads and traverse on-chip.
 //
-// predict_compiled is the batched kernel: the grid tiles (tree-group ×
-// row-chunk) blocks, tree groups sized so the group's node slabs fit the
-// device's shared memory. Each block routes its 256 rows through its staged
-// trees, records the reached leaf offsets, and flushes score updates under
-// blk.commit() one tree at a time in ascending tree order — which makes the
-// result bit-identical to the scalar reference predict_scores() at any
-// --sim-threads value. Missing values route by the default-left bit, the
+// predict_compiled runs two commit-free launches. The routing grid tiles
+// (tree-group × row-chunk) blocks, tree groups sized so the group's node
+// slabs fit the device's shared memory; each block routes its 256 rows
+// through its staged trees and records the reached leaf offsets. The
+// reduction then gives each row chunk one block, which sums every row's
+// leaf vectors in ascending tree order — so the result is bit-identical to
+// the scalar reference predict_scores() at any --sim-threads value. Every
+// block writes only its own words, so both launches fan out over the
+// scheduler's workers. Missing values route by the default-left bit, the
 // same rule the binned training partition applies (NaN -> bin 0 -> left).
 #pragma once
 
@@ -89,11 +91,11 @@ class CompiledModel {
   std::vector<float> leaf_pool_;
 };
 
-// Batched compiled inference: one launch tiling (tree-group × row-chunk)
-// blocks; scores ([i * d + k] layout) are zeroed and then accumulated in
-// ascending tree order per score word under blk.commit(), so results are
-// bit-identical to predict_scores for every --sim-threads. A zero-tree
-// model yields all-zero scores.
+// Batched compiled inference: a routing launch over (tree-group × row-chunk)
+// blocks, then a reduction launch that accumulates each score word ([i * d +
+// k] layout) in ascending tree order, so results are bit-identical to
+// predict_scores for every --sim-threads. A zero-tree model yields all-zero
+// scores.
 void predict_compiled(sim::Device& dev, const CompiledModel& model,
                       const data::DenseMatrix& x, std::span<float> scores);
 

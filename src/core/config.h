@@ -112,10 +112,12 @@ struct TrainConfig {
   double inter_gbps = 25.0;        // inter-node bandwidth, Gb/s per direction
   double inter_latency_us = 25.0;  // inter-node per-hop latency, µs
 
-  // Host worker threads for the simulator's block scheduler (0 = process
-  // default: GBMO_SIM_THREADS env, else hardware concurrency; 1 = inline).
-  // Purely a host-performance knob — results are bit-identical for every
-  // value (see sim/launch.h).
+  // Host worker threads for the simulator's block scheduler during this
+  // fit (0 = process default: --sim-threads, GBMO_SIM_THREADS env, else
+  // hardware concurrency; 1 = inline). Only commit-free launches fan out;
+  // ordered ones (block 0 commits) run inline at any value. Restored when
+  // fit() returns or throws. Purely a host-performance knob — results are
+  // bit-identical for every value (see sim/launch.h).
   int sim_threads = 0;
 
   // Arm the substrate's race & memory checker for this run (sim/checker.h):

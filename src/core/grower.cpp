@@ -138,6 +138,17 @@ sim::Device& TreeGrower::charge_device() {
   return group_.device(fa < 0 ? 0 : fa);
 }
 
+NodeHistogram TreeGrower::take_hist() {
+  if (hist_pool_.empty()) {
+    NodeHistogram fresh;
+    fresh.resize(ctx_.layout);
+    return fresh;
+  }
+  NodeHistogram hist = std::move(hist_pool_.back());
+  hist_pool_.pop_back();
+  return hist;
+}
+
 void TreeGrower::note_alloc_all(std::size_t bytes) {
   for (int i = 0; i < group_.size(); ++i) group_.device(i).note_alloc(bytes);
 }
@@ -275,8 +286,6 @@ void TreeGrower::build_node_histogram(const ActiveNode& node, NodeHistogram& out
     dev_in.node_totals = dev_totals;
     if (part_scratch_.sums.size() != ctx_.layout.size()) {
       part_scratch_.resize(ctx_.layout);
-    } else {
-      part_scratch_.clear();
     }
     builder_->build(group_.device(i), dev_in, part_scratch_);
     if (voting) {
@@ -325,7 +334,6 @@ void TreeGrower::build_node_histogram_bundled(const ActiveNode& node,
     // disjoint slots of the shared bundled scratch, then expands them into
     // the original-layout slots it owns (bundle-aligned partitioning
     // guarantees those are disjoint too).
-    bundle_scratch_.clear();
     for (int i = 0; i < group_.size(); ++i) {
       const auto& bundles = grow_device_bundles_[static_cast<std::size_t>(i)];
       if (bundles.empty()) continue;
@@ -357,7 +365,6 @@ void TreeGrower::build_node_histogram_bundled(const ActiveNode& node,
   }
   for (int i = 0; i < k; ++i) {
     if (group_.is_lost(i)) continue;
-    bundle_scratch_.clear();
     HistBuildInput dev_in = in;
     dev_in.features = grow_bundles_;
     dev_in.node_rows = dev_rows[static_cast<std::size_t>(i)];
@@ -369,8 +376,6 @@ void TreeGrower::build_node_histogram_bundled(const ActiveNode& node,
     builder_->build(group_.device(i), dev_in, bundle_scratch_);
     if (part_scratch_.sums.size() != ctx_.layout.size()) {
       part_scratch_.resize(ctx_.layout);
-    } else {
-      part_scratch_.clear();
     }
     expand_bundled_histogram(group_.device(i), *ctx_.bundling,
                              ctx_.bundle_layout, ctx_.layout, grow_bundles_,
@@ -382,7 +387,6 @@ void TreeGrower::build_node_histogram_bundled(const ActiveNode& node,
     }
   }
   GBMO_CHECK(ghost_ != nullptr) << "row-partitioned build without a ghost";
-  bundle_scratch_.clear();
   HistBuildInput ghost_in = in;
   ghost_in.features = grow_bundles_;
   builder_->build(*ghost_, ghost_in, bundle_scratch_);
@@ -888,6 +892,10 @@ void TreeGrower::grow_level_wise(std::span<const float> g,
   std::unordered_map<std::int32_t, NodeHistogram> prev_hists, cur_hists;
   NodeHistogram scratch_hist;
   std::size_t prev_bytes = 0;
+  const auto release = [&](std::unordered_map<std::int32_t, NodeHistogram>& hists) {
+    for (auto& [node, hist] : hists) hist_pool_.push_back(std::move(hist));
+    hists.clear();
+  };
 
   for (int level = 0; level < cfg.max_depth && !active.empty(); ++level) {
     sim::TraceSpan level_span(group_, "level " + std::to_string(level));
@@ -903,11 +911,13 @@ void TreeGrower::grow_level_wise(std::span<const float> g,
       note_alloc_all(level_bytes);
       group_.set_phase("histogram");
 
-      // Phase 1: allocate the level's histograms, then classify each node —
-      // derived (parent minus smaller sibling) or directly built. Derivation
-      // requires the parent's histogram (previous level) *and* an active
-      // smaller sibling (a sibling finalized as a leaf has no histogram).
-      for (const auto& a : active) cur_hists[a.tree_node].resize(ctx_.layout);
+      // Phase 1: take the level's histograms from the pool (stale contents:
+      // the build or subtraction below writes every slot split search
+      // reads), then classify each node — derived (parent minus smaller
+      // sibling) or directly built. Derivation requires the parent's
+      // histogram (previous level) *and* an active smaller sibling (a
+      // sibling finalized as a leaf has no histogram).
+      for (const auto& a : active) cur_hists[a.tree_node] = take_hist();
       std::vector<std::size_t> direct_nodes, derived_nodes;
       for (std::size_t i = 0; i < active.size(); ++i) {
         const ActiveNode& a = active[i];
@@ -966,10 +976,8 @@ void TreeGrower::grow_level_wise(std::span<const float> g,
             a.begin, a.count());
         group_.set_phase("histogram");
         if (scratch_hist.sums.size() != ctx_.layout.size()) {
-          scratch_hist.resize(ctx_.layout);
+          scratch_hist = take_hist();
           note_alloc_all(ctx_.layout.byte_size());
-        } else {
-          scratch_hist.clear();
         }
         build_node_histogram(a, scratch_hist, g, h);
         // The scratch buffer is reused per node, so selection cannot be
@@ -1020,13 +1028,11 @@ void TreeGrower::grow_level_wise(std::span<const float> g,
     }
 
     note_free_all(prev_bytes);
+    release(prev_hists);
+    prev_bytes = 0;
     if (subtract_mode) {
-      prev_hists = std::move(cur_hists);
-      cur_hists.clear();
+      prev_hists.swap(cur_hists);
       prev_bytes = level_bytes;
-    } else {
-      prev_hists.clear();
-      prev_bytes = 0;
     }
 
     // Apply splits: partition rows, create children, route them. The
@@ -1138,8 +1144,10 @@ void TreeGrower::grow_level_wise(std::span<const float> g,
   for (auto& a : active) compute_leaf(tree, a, row_order, out.leaf_of_row);
 
   note_free_all(prev_bytes);
+  release(prev_hists);
   if (scratch_hist.sums.size() == ctx_.layout.size()) {
     note_free_all(ctx_.layout.byte_size());
+    hist_pool_.push_back(std::move(scratch_hist));
   }
 }
 
@@ -1163,23 +1171,21 @@ void TreeGrower::grow_leaf_wise(std::span<const float> g,
         live_hist_bytes + hist_bytes > ctx_.hist_pool_budget) {
       return nullptr;
     }
-    auto hp = std::make_unique<NodeHistogram>();
-    hp->resize(ctx_.layout);
+    auto hp = std::make_unique<NodeHistogram>(take_hist());
     note_alloc_all(hist_bytes);
     live_hist_bytes += hist_bytes;
     return hp;
   };
   auto get_scratch = [&](NodeHistogram& s) -> NodeHistogram& {
     if (s.sums.size() != ctx_.layout.size()) {
-      s.resize(ctx_.layout);
+      s = take_hist();
       note_alloc_all(hist_bytes);
-    } else {
-      s.clear();
     }
     return s;
   };
   auto drop_hist = [&](LeafCandidate& c) {
     if (c.hist) {
+      hist_pool_.push_back(std::move(*c.hist));
       c.hist.reset();
       note_free_all(hist_bytes);
       live_hist_bytes -= hist_bytes;
@@ -1358,11 +1364,11 @@ void TreeGrower::grow_leaf_wise(std::span<const float> g,
     compute_leaf(tree, c.node, row_order, out.leaf_of_row);
   }
 
-  if (scratch_a.sums.size() == ctx_.layout.size()) {
-    note_free_all(hist_bytes);
-  }
-  if (scratch_b.sums.size() == ctx_.layout.size()) {
-    note_free_all(hist_bytes);
+  for (NodeHistogram* scratch : {&scratch_a, &scratch_b}) {
+    if (scratch->sums.size() == ctx_.layout.size()) {
+      note_free_all(hist_bytes);
+      hist_pool_.push_back(std::move(*scratch));
+    }
   }
 }
 

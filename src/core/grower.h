@@ -18,7 +18,11 @@
 // level / frontier would exceed it, the grower falls back to building nodes
 // one at a time in reusable scratch buffers (losing subtraction but
 // bounding peak memory) — this is the mechanism behind "avoids
-// out-of-memory failures" in Figure 7.
+// out-of-memory failures" in Figure 7. On the host, released histograms go
+// to a free list that later levels and trees reuse without zero-filling:
+// every builder re-zeroes the slots it accumulates into, a subtraction
+// overwrites its feature view, and split search reads only the tree's
+// feature view, so stale slots outside it are never read.
 //
 // Exclusive feature bundling (data/bundling.h): when the context carries a
 // bundling plan, node histograms are accumulated over the bundled columns
@@ -213,6 +217,10 @@ class TreeGrower {
   std::uint32_t partition_node(const ActiveNode& node, const SplitResult& s,
                                std::vector<std::uint32_t>& row_order);
 
+  // Returns a released histogram from hist_pool_ with stale contents, or a
+  // fresh zeroed one when the pool is empty.
+  NodeHistogram take_hist();
+
   // Device memory accounting over the whole group.
   void note_alloc_all(std::size_t bytes);
   void note_free_all(std::size_t bytes);
@@ -271,6 +279,9 @@ class TreeGrower {
   std::vector<std::vector<std::uint32_t>> grow_device_bundles_;
   // Scratch for the bundled accumulation pass (EFB).
   NodeHistogram bundle_scratch_;
+  // Released node histograms, reused by take_hist(). Holds at most the two
+  // levels (or the frontier plus scratch) a tree has live at once.
+  std::vector<NodeHistogram> hist_pool_;
   // Row span of the node currently being built (set before each
   // build_node_histogram call; avoids threading it through every helper).
   std::span<const std::uint32_t> node_rows_;

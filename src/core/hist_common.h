@@ -44,11 +44,11 @@ struct BuildTally {
   }
 };
 
-// Restage-on-retry helper (sim/faults.h): builders accumulate into `out`
-// slots that are zero on entry (the builder contract), so re-zeroing this
-// call's feature slots before every launch attempt makes a retried build
-// bit-identical to a clean one. Touches only `in.features` — other devices'
-// feature slices of a shared histogram stay intact.
+// Restage helper: builders accumulate into `out`, so zeroing this call's
+// feature slots before every launch attempt is what makes a build into a
+// reused histogram — or a retried build (sim/faults.h) — bit-identical to a
+// clean one. Touches only `in.features` — other devices' feature slices of
+// a shared histogram stay intact.
 inline void restage_feature_slots(const HistBuildInput& in, NodeHistogram& out) {
   const auto& layout = *in.layout;
   const int d = layout.n_outputs();

@@ -35,9 +35,10 @@ void build_level_histograms_csc(sim::Device& dev,
   }
   if (grid == 0) grid = 1;
 
-  // Restage-on-retry: the sweep scatters into every node's histogram at this
-  // device's feature slots (zero on entry), so re-zero exactly those slots
-  // per attempt — other devices' feature slices stay intact.
+  // Restage: the sweep scatters into every node's histogram at this
+  // device's feature slots, so zero exactly those slots per attempt (the
+  // histograms may be reused buffers) — other devices' feature slices stay
+  // intact.
   sim::with_retry(dev, [&] {
   for (const auto& node : per_node) {
     for (std::uint32_t f : features) {

@@ -74,8 +74,8 @@ class SharedBuilder final : public HistogramBuilder {
     sim::with_retry(dev, [&] {
     detail::restage_feature_slots(in, out);
     sim::launch(dev, "hist_smem", grid, 256, [&](sim::BlockCtx& blk) {
-      // Block-private shared-memory tile (blocks may run on parallel
-      // scheduler workers, so scratch cannot be shared across blocks).
+      // Block-private shared-memory tile: as on hardware, blocks share
+      // nothing but global memory.
       std::vector<sim::GradPair> tile;
       std::vector<std::uint32_t> tile_counts;
 

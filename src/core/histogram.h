@@ -83,10 +83,6 @@ struct NodeHistogram {
     sums.assign(layout.size(), sim::GradPair{});
     counts.assign(layout.total_bins(), 0);
   }
-  void clear() {
-    std::fill(sums.begin(), sums.end(), sim::GradPair{});
-    std::fill(counts.begin(), counts.end(), 0);
-  }
 };
 
 // Everything a builder needs to accumulate one node's histogram.
@@ -108,7 +104,9 @@ class HistogramBuilder {
  public:
   virtual ~HistogramBuilder() = default;
   virtual const char* name() const = 0;
-  // Accumulates into `out` (pre-zeroed for the device's features).
+  // Builds the histogram of `in.features` into `out`, which must be sized
+  // for the layout. Those slots are re-zeroed before accumulation, so their
+  // previous contents never matter; other slots are left untouched.
   virtual void build(sim::Device& dev, const HistBuildInput& in,
                      NodeHistogram& out) = 0;
 };

@@ -1,5 +1,6 @@
 #include "core/split.h"
 
+#include <algorithm>
 #include <cmath>
 #include <limits>
 
@@ -23,100 +24,69 @@ std::vector<SplitResult> find_best_splits(
     std::span<const NodeSplitInput> nodes,
     std::span<const std::uint32_t> features, const TrainConfig& config,
     SplitScratch& scratch) {
-  const int d = layout.n_outputs();
+  const auto d = static_cast<std::size_t>(layout.n_outputs());
   const float lambda = config.lambda_l2;
+  const auto min_inst =
+      static_cast<std::uint32_t>(config.min_instances_per_node);
   std::vector<SplitResult> results(nodes.size());
   if (nodes.empty() || features.empty()) return results;
 
-  std::size_t slots_per_node = 0;
   std::size_t bins_per_node = 0;
   for (std::uint32_t f : features) {
     bins_per_node += static_cast<std::size_t>(layout.n_bins(f));
-    slots_per_node +=
-        static_cast<std::size_t>(layout.n_bins(f)) * static_cast<std::size_t>(d);
   }
-  const std::size_t total_slots = slots_per_node * nodes.size();
   const std::size_t total_bins = bins_per_node * nodes.size();
+  const std::size_t total_slots = total_bins * d;
 
-  // --- 1. gather all nodes' feature subsets into (node, feature, output)-
-  // major segments. Fused into the scan kernel on a real device (the scan
-  // reads the histogram through strided address arithmetic), so no separate
-  // traffic is charged.
-  scratch.seg_values.resize(total_slots);
-  scratch.seg_scanned.resize(total_slots);
-  scratch.seg_offsets.clear();
-  scratch.seg_offsets.push_back(0);
-  {
-    std::size_t pos = 0;
-    for (const auto& node : nodes) {
-      GBMO_CHECK(node.hist != nullptr);
-      GBMO_CHECK(node.totals.size() == static_cast<std::size_t>(d));
-      for (std::uint32_t f : features) {
-        const int n_bins = layout.n_bins(f);
-        for (int k = 0; k < d; ++k) {
-          for (int b = 0; b < n_bins; ++b) {
-            scratch.seg_values[pos++] = node.hist->sums[layout.slot(f, b, k)];
-          }
-          scratch.seg_offsets.push_back(static_cast<std::uint32_t>(pos));
-        }
-      }
-    }
-  }
-
-  // --- 2. one segmented prefix sum across every (node, feature, output).
-  sim::segmented_inclusive_scan(dev, scratch.seg_values, scratch.seg_offsets,
-                                scratch.seg_scanned);
-
-  // --- 3. one gain kernel over every (node, feature, bin) candidate.
+  // --- 1. one pass per (node, feature) over its bins: the running d-wide
+  // left sum is that (feature, output) segment's inclusive prefix, and each
+  // bin's gain is evaluated from it right away. Splitting after the last bin
+  // sends everything left, so the last bin never gets a gain.
+  scratch.prefix.resize(d);
   scratch.gains.assign(total_bins, -std::numeric_limits<float>::infinity());
   scratch.gain_offsets.clear();
   scratch.gain_offsets.push_back(0);
-  {
-    std::size_t gain_pos = 0;
-    std::size_t seg_base = 0;
-    for (const auto& node : nodes) {
-      double parent_term = 0.0;  // Σ_k G²/(H+λ)
-      for (const auto& t : node.totals) {
-        parent_term +=
-            static_cast<double>(t.g) * t.g / (static_cast<double>(t.h) + lambda);
-      }
-      for (std::uint32_t f : features) {
-        const int n_bins = layout.n_bins(f);
-        std::uint32_t count_left = 0;
-        for (int b = 0; b < n_bins; ++b) {
-          count_left += node.hist->counts[layout.bin_index(f, b)];
-          if (b + 1 >= n_bins) {
-            // Splitting after the last bin sends everything left: invalid.
-            ++gain_pos;
-            continue;
-          }
-          const std::uint32_t count_right = node.node_count - count_left;
-          if (count_left < static_cast<std::uint32_t>(config.min_instances_per_node) ||
-              count_right < static_cast<std::uint32_t>(config.min_instances_per_node)) {
-            ++gain_pos;
-            continue;
-          }
-          double acc = 0.0;
-          for (int k = 0; k < d; ++k) {
-            const auto& left =
-                scratch.seg_scanned[seg_base +
-                                    static_cast<std::size_t>(k) *
-                                        static_cast<std::size_t>(n_bins) +
-                                    static_cast<std::size_t>(b)];
-            const double gl = left.g;
-            const double hl = left.h;
-            const double gr =
-                static_cast<double>(node.totals[static_cast<std::size_t>(k)].g) - gl;
-            const double hr =
-                static_cast<double>(node.totals[static_cast<std::size_t>(k)].h) - hl;
-            acc += gl * gl / (hl + lambda) + gr * gr / (hr + lambda);
-          }
-          scratch.gains[gain_pos++] = static_cast<float>(0.5 * (acc - parent_term));
-        }
-        seg_base += static_cast<std::size_t>(n_bins) * static_cast<std::size_t>(d);
-        scratch.gain_offsets.push_back(static_cast<std::uint32_t>(gain_pos));
-      }
+  std::size_t gain_pos = 0;
+  for (const auto& node : nodes) {
+    GBMO_CHECK(node.hist != nullptr);
+    GBMO_CHECK(node.totals.size() == d);
+    double parent_term = 0.0;  // Σ_k G²/(H+λ)
+    for (const auto& t : node.totals) {
+      parent_term +=
+          static_cast<double>(t.g) * t.g / (static_cast<double>(t.h) + lambda);
     }
+    for (std::uint32_t f : features) {
+      const int n_bins = layout.n_bins(f);
+      const sim::GradPair* sums = node.hist->sums.data() + layout.slot(f, 0, 0);
+      const std::uint32_t* counts =
+          node.hist->counts.data() + layout.bin_index(f, 0);
+      std::fill(scratch.prefix.begin(), scratch.prefix.end(), sim::GradPair{});
+      std::uint32_t count_left = 0;
+      for (int b = 0; b + 1 < n_bins; ++b, ++gain_pos, sums += d) {
+        for (std::size_t k = 0; k < d; ++k) scratch.prefix[k] += sums[k];
+        count_left += counts[b];
+        const std::uint32_t count_right = node.node_count - count_left;
+        if (count_left < min_inst || count_right < min_inst) continue;
+        double acc = 0.0;
+        for (std::size_t k = 0; k < d; ++k) {
+          const double gl = scratch.prefix[k].g;
+          const double hl = scratch.prefix[k].h;
+          const double gr = static_cast<double>(node.totals[k].g) - gl;
+          const double hr = static_cast<double>(node.totals[k].h) - hl;
+          acc += gl * gl / (hl + lambda) + gr * gr / (hr + lambda);
+        }
+        scratch.gains[gain_pos] = static_cast<float>(0.5 * (acc - parent_term));
+      }
+      ++gain_pos;  // the last bin
+      scratch.gain_offsets.push_back(static_cast<std::uint32_t>(gain_pos));
+    }
+  }
+
+  // --- 2./3. the segmented prefix sum across every (node, feature, output)
+  // and the gain kernel over every (node, feature, bin) candidate, charged
+  // as the two kernels a device runs.
+  sim::charge_segmented_scan(dev, total_slots);
+  {
     sim::KernelStats s;
     s.blocks = std::max<std::uint64_t>(1, total_bins / 256);
     s.gmem_coalesced_bytes = total_slots * sizeof(sim::GradPair) +

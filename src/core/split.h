@@ -1,10 +1,16 @@
 // Split evaluation and selection (§2.3, §3.1.3).
 //
 // For each candidate (feature, bin) the gain of Eq. (3) is computed from
-// left-side prefix sums of the histogram via a segmented prefix sum (one
-// segment per (feature, output)); the best threshold per feature comes from
-// a segmented reduction (one segment per feature, mapped adaptively onto
-// blocks), and a final global reduction picks the winning feature.
+// left-side prefix sums of the histogram. Each (node, feature) is one pass
+// over the histogram's own bin-major layout: a running d-wide prefix — the
+// segmented prefix sum with one segment per (feature, output), in the same
+// float-addition order — feeds each bin's gain as soon as the bin is added,
+// with O(d) scratch and no transposed copy (the prefix scan XGBoost's GPU
+// hist runs directly over each feature's histogram). The best threshold per
+// feature comes from a segmented reduction (one segment per feature, mapped
+// adaptively onto blocks), and a final global reduction picks the winning
+// feature. The cost model is charged for the scan, gain and reduction
+// kernels of §3.1.3, in that order.
 #pragma once
 
 #include <span>
@@ -24,12 +30,10 @@ struct SplitResult {
   bool valid() const { return feature >= 0; }
 };
 
-// Scratch buffers reused across nodes to avoid reallocation.
+// Scratch buffers reused across calls to avoid reallocation.
 struct SplitScratch {
-  std::vector<sim::GradPair> seg_values;  // (feature, output)-major histogram
-  std::vector<sim::GradPair> seg_scanned;
-  std::vector<std::uint32_t> seg_offsets;
-  std::vector<float> gains;               // per (feature, bin)
+  std::vector<sim::GradPair> prefix;  // running left sums of one (node, feature)
+  std::vector<float> gains;           // per (node, feature, bin)
   std::vector<std::uint32_t> gain_offsets;
   std::vector<sim::ArgMax> per_feature_best;
 };

@@ -12,23 +12,32 @@
 // shared-memory phase semantics exact: everything before blk.sync() is
 // visible after it.
 //
-// Blocks are independent (as on hardware) and are distributed over the host
-// thread pool: a launch runs on sim::launch_workers(grid) workers (see
-// sim/scheduler.h; configurable via --sim-threads / GBMO_SIM_THREADS /
-// TrainConfig). Worker w executes blocks w, w + W, w + 2W, ... in increasing
-// order. Cross-block side effects — anything the real kernel would do with
-// global-memory atomics — must go through BlockCtx::commit, which executes
-// bodies in block-id order with mutual exclusion. The single-worker path
-// uses the same commit semantics, so results (including floating-point
-// accumulation order) are bit-identical for every worker count.
+// Blocks are independent (as on hardware). Block 0 always runs first, on the
+// calling thread, and decides how the others run (see sim/scheduler.h):
+//   - Ordered: block 0 called BlockCtx::commit. Cross-block side effects —
+//     anything the real kernel would do with global-memory atomics — go
+//     through commit, so the remaining blocks also run on the calling
+//     thread, in block-id order, and every commit body lands in block-id
+//     order.
+//   - Commit-free: block 0 did not commit. Every block writes only
+//     block-partitioned state, so the remaining blocks fan out over
+//     sim::launch_workers pool workers (--sim-threads / GBMO_SIM_THREADS /
+//     TrainConfig); worker w runs blocks 1 + w, 1 + w + W, ... in increasing
+//     order. A commit from any of them fails a GBMO_CHECK.
+// A kernel that commits anywhere must therefore commit in block 0: every
+// kernel here commits either in every block that has work or in none, and
+// block 0 has work whenever any block does. Results (including
+// floating-point accumulation order) are bit-identical for every worker
+// count.
 //
 // Every launch produces a KernelStats record that the cost model converts to
 // modeled seconds, accumulated on the device under its current phase label.
-// With multiple workers each gets a private KernelStats, merged in fixed
-// worker order after the launch; all counters are integers, so the merged
-// totals equal the sequential path's exactly.
+// Fanned-out workers each get a private KernelStats, merged in fixed worker
+// order after the launch; all counters are integers, so the merged totals
+// equal the sequential path's exactly.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <exception>
 #include <memory>
@@ -49,15 +58,16 @@ namespace gbmo::sim {
 
 class BlockCtx {
  public:
+  // `may_commit` is false for every block after block 0 of a commit-free
+  // launch.
   BlockCtx(int block_id, int block_dim, int grid_dim, int warp_size,
-           KernelStats& stats, BlockSequencer* seq = nullptr,
-           BlockCheck* check = nullptr)
+           KernelStats& stats, bool may_commit, BlockCheck* check)
       : block_id_(block_id),
         block_dim_(block_dim),
         grid_dim_(grid_dim),
         warp_size_(warp_size),
         stats_(stats),
-        seq_(seq),
+        may_commit_(may_commit),
         check_(check) {}
 
   int block_id() const { return block_id_; }
@@ -106,19 +116,24 @@ class BlockCtx {
   // Runs `body` as this block's cross-block side-effect phase. Anything a
   // real kernel would write through global-memory atomics (histogram
   // flushes, score accumulation, appends to shared buffers) must happen
-  // here: bodies execute in block-id order with mutual exclusion, for any
-  // worker count, which is what keeps floating-point accumulation — and so
-  // every trained model — bit-identical across --sim-threads settings.
-  // Runs inline (synchronously) on the block's worker; block-private state
+  // here. A commit in block 0 makes the launch ordered: every block runs on
+  // the calling thread in block-id order, so commit bodies execute in
+  // block-id order for any worker count, which is what keeps floating-point
+  // accumulation — and so every trained model — bit-identical across
+  // --sim-threads settings. Runs inline (synchronously); block-private state
   // captured by reference stays valid. The checker treats global writes
   // outside this scope as racy unless block-partitioned.
   template <typename F>
   void commit(F&& body) {
-    if (seq_ != nullptr) seq_->wait_turn(block_id_);
+    GBMO_CHECK(may_commit_) << "BlockCtx::commit in block " << block_id_
+                            << " of a commit-free launch (block 0 did not "
+                               "commit)";
+    committed_ = true;
     if (check_ != nullptr) check_->begin_commit();
     body();
     if (check_ != nullptr) check_->end_commit();
   }
+  bool committed() const { return committed_; }
 
   // --- checked views --------------------------------------------------------
   // Non-counting accessor views observed by the race/memory checker when it
@@ -142,7 +157,8 @@ class BlockCtx {
   int grid_dim_;
   int warp_size_;
   KernelStats& stats_;
-  BlockSequencer* seq_;
+  bool may_commit_;
+  bool committed_ = false;
   BlockCheck* check_;
 };
 
@@ -153,9 +169,8 @@ struct LaunchResult {
 
 // Launches `grid_dim` independent blocks of `block_dim` simulated threads.
 // Returns the merged stats and modeled kernel time (already charged to dev).
-// Kernel exceptions propagate to the caller; with multiple workers the
-// lowest-block-id exception observed is rethrown and remaining blocks are
-// skipped (every block still retires, so no worker hangs).
+// Kernel exceptions propagate to the caller: the exception of the lowest
+// failing block id is rethrown, at any worker count.
 template <typename Kernel>
 LaunchResult launch(Device& dev, int grid_dim, int block_dim, Kernel&& kernel) {
   // Fault injection (sim/faults.h): the decision is drawn at launch entry
@@ -187,50 +202,49 @@ LaunchResult launch(Device& dev, int grid_dim, int block_dim, Kernel&& kernel) {
     lc = std::make_unique<LaunchCheck>(dev.kernel(), grid_dim);
   }
 
-  const int n_workers = launch_workers(grid_dim);
-  if (n_workers <= 1) {
-    // Inline path: blocks execute sequentially in block-id order on the
-    // calling thread. commit() bodies run immediately — already in order.
-    for (int b = 0; b < grid_dim; ++b) {
-      if (fire.kind == FaultKind::kTransient && b == fire.block) {
-        throw SimFaultError(dev.kernel(), dev.id(), fire.ordinal, b);
-      }
-      std::unique_ptr<BlockCheck> bc;
-      if (lc) bc = std::make_unique<BlockCheck>(*lc, b, block_dim);
-      BlockCtx blk(b, block_dim, grid_dim, warp_size, merged, nullptr,
-                   bc.get());
-      kernel(blk);
+  // Runs block b into `stats`; returns whether it committed.
+  const auto run_block = [&](int b, KernelStats& stats, bool may_commit) {
+    if (fire.kind == FaultKind::kTransient && b == fire.block) {
+      throw SimFaultError(dev.kernel(), dev.id(), fire.ordinal, b);
     }
+    std::unique_ptr<BlockCheck> bc;
+    if (lc) bc = std::make_unique<BlockCheck>(*lc, b, block_dim);
+    BlockCtx blk(b, block_dim, grid_dim, warp_size, stats, may_commit,
+                 bc.get());
+    kernel(blk);
+    return blk.committed();
+  };
+
+  const bool ordered = grid_dim > 0 && run_block(0, merged, true);
+  const int n_workers = ordered ? 1 : launch_workers(grid_dim - 1);
+  if (n_workers <= 1) {
+    for (int b = 1; b < grid_dim; ++b) run_block(b, merged, ordered);
   } else {
-    BlockSequencer seq(grid_dim);
-    std::vector<KernelStats> worker_stats(
-        static_cast<std::size_t>(n_workers));
+    // Each worker runs its blocks in increasing order and stops at its own
+    // first failure, so no worker skips a block below the launch's lowest
+    // failing block: the lowest recorded failure is that block's.
+    struct Failure {
+      int block;
+      std::exception_ptr error;
+    };
+    std::vector<KernelStats> worker_stats(static_cast<std::size_t>(n_workers));
+    std::vector<Failure> failures(static_cast<std::size_t>(n_workers),
+                                  Failure{grid_dim, nullptr});
     ThreadPool::global().run_workers(
         static_cast<std::size_t>(n_workers), [&](std::size_t w) {
-          // Round-robin assignment, each worker in increasing block order:
-          // worker w's next commit waits only on the W-1 in-flight blocks
-          // before it, never on a whole contiguous chunk (contiguous
-          // chunking would serialize every commit behind worker 0).
-          for (int b = static_cast<int>(w); b < grid_dim;
-               b += n_workers) {
-            if (!seq.failed()) {
-              try {
-                if (fire.kind == FaultKind::kTransient && b == fire.block) {
-                  throw SimFaultError(dev.kernel(), dev.id(), fire.ordinal, b);
-                }
-                std::unique_ptr<BlockCheck> bc;
-                if (lc) bc = std::make_unique<BlockCheck>(*lc, b, block_dim);
-                BlockCtx blk(b, block_dim, grid_dim, warp_size,
-                             worker_stats[w], &seq, bc.get());
-                kernel(blk);
-              } catch (...) {
-                seq.record_failure(b, std::current_exception());
-              }
+          for (int b = 1 + static_cast<int>(w); b < grid_dim; b += n_workers) {
+            try {
+              run_block(b, worker_stats[w], false);
+            } catch (...) {
+              failures[w] = {b, std::current_exception()};
+              return;
             }
-            seq.retire(b);
           }
         });
-    seq.rethrow_if_failed();
+    const Failure& first = *std::min_element(
+        failures.begin(), failures.end(),
+        [](const Failure& a, const Failure& b) { return a.block < b.block; });
+    if (first.error) std::rethrow_exception(first.error);
     // Fixed-order merge of the private counters; integer sums, so the
     // result is exact and equal to the sequential path's.
     for (const auto& ws : worker_stats) merged += ws;

@@ -142,9 +142,13 @@ void segmented_inclusive_scan(Device& dev, std::span<const GradPair> values,
       out[i] = running;
     }
   }
+  charge_segmented_scan(dev, values.size());
+}
+
+void charge_segmented_scan(Device& dev, std::size_t n_values) {
   KernelStats s;
-  s.blocks = std::max<std::uint64_t>(1, values.size() / 256);
-  s.scan_bytes = static_cast<std::uint64_t>(values.size()) * sizeof(GradPair) * 2;
+  s.blocks = std::max<std::uint64_t>(1, n_values / 256);
+  s.scan_bytes = static_cast<std::uint64_t>(n_values) * sizeof(GradPair) * 2;
   charge_kernel(dev, "segmented_scan", s);
 }
 

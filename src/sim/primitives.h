@@ -60,6 +60,9 @@ void exclusive_scan(Device& dev, std::span<const float> in, std::span<float> out
 void segmented_inclusive_scan(Device& dev, std::span<const GradPair> values,
                               std::span<const std::uint32_t> offsets,
                               std::span<GradPair> out);
+// Charges exactly what segmented_inclusive_scan charges for `n_values`
+// values, for callers that fuse the scan into their own pass.
+void charge_segmented_scan(Device& dev, std::size_t n_values);
 
 // Per-segment maximum with index. `segments_per_block_c` is the paper's
 // tunable C in: segments/block = 1 + (#segments / #SMs) * C. It controls the

@@ -1,6 +1,7 @@
 #include "sim/scheduler.h"
 
 #include <algorithm>
+#include <atomic>
 #include <cstdlib>
 #include <thread>
 
@@ -38,46 +39,15 @@ int sim_threads() {
   return v > 0 ? v : default_sim_threads();
 }
 
-void set_sim_threads(int n) {
-  g_sim_threads.store(n > 0 ? clamp_threads(n) : 0, std::memory_order_relaxed);
+int set_sim_threads(int n) {
+  return g_sim_threads.exchange(n > 0 ? clamp_threads(n) : 0,
+                                std::memory_order_relaxed);
 }
 
 int launch_workers(int grid_dim) {
   if (grid_dim <= 1) return 1;
   if (ThreadPool::in_worker()) return 1;
   return std::min(sim_threads(), grid_dim);
-}
-
-BlockSequencer::BlockSequencer(int n_blocks)
-    : done_(static_cast<std::size_t>(n_blocks), 0) {}
-
-void BlockSequencer::wait_turn(int block_id) {
-  std::unique_lock<std::mutex> lock(mu_);
-  cv_.wait(lock, [&] { return next_ >= block_id; });
-}
-
-void BlockSequencer::retire(int block_id) {
-  std::lock_guard<std::mutex> lock(mu_);
-  done_[static_cast<std::size_t>(block_id)] = 1;
-  while (next_ < static_cast<int>(done_.size()) &&
-         done_[static_cast<std::size_t>(next_)]) {
-    ++next_;
-  }
-  cv_.notify_all();
-}
-
-void BlockSequencer::record_failure(int block_id, std::exception_ptr error) {
-  std::lock_guard<std::mutex> lock(mu_);
-  failed_.store(true, std::memory_order_relaxed);
-  if (!error_ || block_id < failed_block_) {
-    failed_block_ = block_id;
-    error_ = std::move(error);
-  }
-}
-
-void BlockSequencer::rethrow_if_failed() {
-  std::lock_guard<std::mutex> lock(mu_);
-  if (error_) std::rethrow_exception(error_);
 }
 
 }  // namespace gbmo::sim

@@ -1,70 +1,33 @@
-// Host-side block scheduler for the simulator: worker-count configuration
-// and the ordering primitive that keeps parallel block execution
-// bit-deterministic.
+// Host-side block scheduler configuration for the simulator.
 //
-// sim::launch (launch.h) distributes a kernel's simulated thread blocks over
-// ThreadPool::global(). Block-private work runs concurrently; cross-block
-// side effects (the simulated global-memory atomics) are routed through
-// BlockCtx::commit, which this module serializes in block-id order. Because
-// the commit order is a property of the launch, not of the worker count,
-// results are bit-identical for every sim_threads() value.
+// sim::launch (launch.h) runs block 0 of every launch on the calling thread.
+// A launch whose block 0 calls BlockCtx::commit is *ordered*: its remaining
+// blocks run on the calling thread too, in block-id order, so every
+// cross-block side effect (the simulated global-memory atomics) lands in
+// block-id order. A launch whose block 0 does not commit is *commit-free*:
+// its remaining blocks fan out over launch_workers(grid) pool workers, and a
+// commit from one of them is a contract violation. Either way the result is
+// a property of the launch, not of the worker count, so it is bit-identical
+// for every sim_threads() value.
 #pragma once
-
-#include <atomic>
-#include <condition_variable>
-#include <exception>
-#include <mutex>
-#include <vector>
 
 namespace gbmo::sim {
 
 // --- worker-count configuration --------------------------------------------
-// Number of host workers a launch may use. Resolution order:
+// Number of host workers a commit-free launch may use. Resolution order:
 // set_sim_threads() (TrainConfig::sim_threads / --sim-threads) overrides the
 // GBMO_SIM_THREADS environment variable, which overrides hardware
 // concurrency. Purely a host-performance knob: modeled seconds, stats and
 // trained models are identical for every value.
 int sim_threads();
-void set_sim_threads(int n);  // n <= 0 restores the env/hardware default
-int default_sim_threads();    // the env/hardware value, ignoring overrides
+// n <= 0 restores the env/hardware default. Returns the previous override
+// (0 when none was set), so a caller can scope a change and put it back.
+int set_sim_threads(int n);
+int default_sim_threads();  // the env/hardware value, ignoring overrides
 
 // Workers for one launch of grid_dim blocks: 1 when the grid is trivial or
 // the launch is nested inside pool-managed work (nested launches run inline
 // to keep the pool deadlock-free), else min(sim_threads(), grid_dim).
 int launch_workers(int grid_dim);
-
-// Orders cross-block side effects of one launch. Each block calls
-// wait_turn(b) before touching shared state (via BlockCtx::commit) and
-// retire(b) when it finishes — launch.h retires blocks even when the kernel
-// throws, so waiters never hang. Invariant: wait_turn(b) returns only after
-// every block < b has retired; since the committing block is itself
-// unretired, at most one block is ever inside a commit, and commits happen
-// in block-id order.
-class BlockSequencer {
- public:
-  explicit BlockSequencer(int n_blocks);
-
-  // Blocks until every block with a smaller id has retired.
-  void wait_turn(int block_id);
-
-  // Marks the block finished and wakes waiters. Must be called exactly once
-  // per block, on the worker that ran it.
-  void retire(int block_id);
-
-  // Captures a kernel exception; the lowest-block-id capture wins so the
-  // rethrown error does not depend on worker timing when one block fails.
-  void record_failure(int block_id, std::exception_ptr error);
-  bool failed() const { return failed_.load(std::memory_order_relaxed); }
-  void rethrow_if_failed();
-
- private:
-  std::mutex mu_;
-  std::condition_variable cv_;
-  std::vector<unsigned char> done_;
-  int next_ = 0;  // all blocks < next_ have retired
-  std::atomic<bool> failed_{false};
-  int failed_block_ = 0;
-  std::exception_ptr error_;
-};
 
 }  // namespace gbmo::sim

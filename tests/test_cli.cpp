@@ -23,8 +23,12 @@ CliResult run_cli(std::initializer_list<std::string> args) {
   return {code, out.str(), err.str()};
 }
 
+// Per-test file names: ctest runs the CLI tests as parallel processes, and a
+// shared path lets one test regenerate a file another is still reading.
 std::string tmp_path(const char* name) {
-  return std::string("/tmp/gbmo_cli_test_") + name;
+  return std::string("/tmp/gbmo_cli_test_") +
+         ::testing::UnitTest::GetInstance()->current_test_info()->name() +
+         "_" + name;
 }
 
 class CliFlow : public ::testing::Test {

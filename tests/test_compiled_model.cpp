@@ -9,6 +9,7 @@
 #include <cstring>
 #include <limits>
 #include <sstream>
+#include <string>
 
 #include "core/booster.h"
 #include "core/compiled_model.h"
@@ -16,6 +17,7 @@
 #include "core/predictor.h"
 #include "data/quantize.h"
 #include "data/synthetic.h"
+#include "sim/faults.h"
 #include "sim/scheduler.h"
 
 namespace gbmo::core {
@@ -87,6 +89,32 @@ TEST(CompiledModel, DeviceBitIdenticalAcrossSimThreads) {
     predict_compiled(dev, compiled, batch.x, scores);
     EXPECT_TRUE(bitwise_equal(scores, reference)) << "threads=" << threads;
     EXPECT_GT(dev.modeled_seconds(), 0.0);
+  }
+  sim::set_sim_threads(0);
+}
+
+// The reduction accumulates in place into the score rows, so a transient
+// fault part-way through a launch leaves partial sums behind; the restage
+// must re-zero them so every retried batch is bit-identical to a clean one.
+TEST(CompiledModel, RetriedReduceMatchesCleanRun) {
+  const auto d = make_data(5);
+  GbmoBooster booster(small_cfg());
+  const auto model = booster.fit(d);
+  auto batch = make_data(5, /*seed=*/23);
+  const auto reference = predict_scores(model.trees, batch.x, model.n_outputs);
+  const auto compiled = CompiledModel::compile(model.trees, model.n_outputs);
+
+  for (int threads : {1, 4}) {
+    sim::set_sim_threads(threads);
+    sim::set_sim_faults("kernel=predict_compiled_reduce;transient=0.6;retries=40;seed=" +
+                        std::to_string(threads));
+    sim::Device dev(sim::DeviceSpec::rtx4090());
+    std::vector<float> scores(reference.size());
+    predict_compiled(dev, compiled, batch.x, scores);
+    sim::reset_sim_faults();
+    EXPECT_TRUE(bitwise_equal(scores, reference)) << "threads=" << threads;
+    EXPECT_GT(dev.phase_seconds().count("retry"), 0u)
+        << "no retry fired at threads=" << threads;
   }
   sim::set_sim_threads(0);
 }

@@ -1,9 +1,11 @@
 // Tree structure and grower invariants: leaf coverage, routing consistency,
 // depth/min-instance limits, the §2.1 single-output equivalence, and
-// sibling-subtraction transparency.
+// transparency of sibling subtraction and of reused (pooled) histograms.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <numeric>
+#include <string>
 
 #include "common/rng.h"
 #include "core/grower.h"
@@ -180,6 +182,53 @@ TEST(GrowerTest, HistogramStrategiesAgreeOnTheTree) {
       EXPECT_EQ(grown.leaf_of_row, reference)
           << "strategy " << hist_method_name(method);
     }
+  }
+}
+
+// Node histograms are pooled and reused without zero-filling, so a tree
+// grown after another one finds stale sums in every slot outside its
+// feature view (colsample_bytree). Split search must never read them: a
+// grower whose pool holds a full-view tree's histograms grows the same tree,
+// bit for bit, as a fresh grower — level-wise, leaf-wise and on the
+// memory-bounded scratch path alike.
+TEST(GrowerTest, ReusedHistogramsMatchFreshOnesUnderColsample) {
+  const std::vector<std::uint32_t> view = {1, 4, 6};
+  for (int variant = 0; variant < 3; ++variant) {
+    auto cfg = grow_config();
+    if (variant == 1) {
+      cfg.growth = GrowthPolicy::kLeafWise;
+      cfg.max_leaves = 10;
+    }
+    GrowSetup s(3, cfg, 33);
+    if (variant == 2) s.ctx.hist_pool_budget = 1;  // no subtraction
+    const std::string where = "variant " + std::to_string(variant);
+
+    sim::DeviceGroup ga(sim::DeviceSpec::rtx4090(), 1);
+    const auto fresh = TreeGrower(ga, s.ctx).grow(s.g, s.h, {}, view);
+
+    sim::DeviceGroup gb(sim::DeviceSpec::rtx4090(), 1);
+    TreeGrower reused(gb, s.ctx);
+    std::vector<float> other_g(s.g.size());
+    for (std::size_t i = 0; i < s.g.size(); ++i) other_g[i] = 3.0f - 2.0f * s.g[i];
+    reused.grow(other_g, s.h);  // full view: writes every slot
+    const auto again = reused.grow(s.g, s.h, {}, view);
+
+    ASSERT_EQ(fresh.tree.n_nodes(), again.tree.n_nodes()) << where;
+    for (std::size_t id = 0; id < fresh.tree.n_nodes(); ++id) {
+      const TreeNode& a = fresh.tree.node(id);
+      const TreeNode& b = again.tree.node(id);
+      EXPECT_EQ(a.feature, b.feature) << where << " node " << id;
+      EXPECT_EQ(a.split_bin, b.split_bin) << where << " node " << id;
+      EXPECT_EQ(std::memcmp(&a.gain, &b.gain, sizeof(float)), 0)
+          << where << " node " << id;
+      EXPECT_EQ(a.n_instances, b.n_instances) << where << " node " << id;
+    }
+    const auto va = fresh.tree.all_leaf_values();
+    const auto vb = again.tree.all_leaf_values();
+    ASSERT_EQ(va.size(), vb.size()) << where;
+    EXPECT_EQ(std::memcmp(va.data(), vb.data(), va.size() * sizeof(float)), 0)
+        << where << ": leaf values differ bitwise";
+    EXPECT_EQ(fresh.leaf_of_row, again.leaf_of_row) << where;
   }
 }
 

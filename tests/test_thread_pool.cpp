@@ -1,7 +1,7 @@
 // ThreadPool semantics the parallel simulator depends on: exception
-// propagation out of parallel_for / run_workers, inline execution for nested
-// calls (no deadlock on the shared queue), on-demand pool growth, and the
-// caller participating as worker 0.
+// propagation out of run_workers, inline execution for nested calls (no
+// deadlock on the shared queue), on-demand pool growth, and the caller
+// participating as worker 0.
 #include <atomic>
 #include <set>
 #include <stdexcept>
@@ -16,55 +16,6 @@ namespace {
 
 using gbmo::ThreadPool;
 
-TEST(ThreadPool, ParallelForRunsAllIterations) {
-  ThreadPool pool(4);
-  std::vector<std::atomic<int>> hits(100);
-  pool.parallel_for(100, [&](std::size_t i) { ++hits[i]; });
-  for (const auto& h : hits) EXPECT_EQ(h.load(), 1);
-}
-
-TEST(ThreadPool, ParallelForPropagatesException) {
-  ThreadPool pool(4);
-  EXPECT_THROW(
-      pool.parallel_for(100,
-                        [&](std::size_t i) {
-                          if (i == 37) throw std::runtime_error("iteration 37");
-                        }),
-      std::runtime_error);
-  // The pool stays usable after a failed loop.
-  std::atomic<int> count{0};
-  pool.parallel_for(10, [&](std::size_t) { ++count; });
-  EXPECT_EQ(count.load(), 10);
-}
-
-TEST(ThreadPool, ParallelForInlinePropagatesException) {
-  ThreadPool pool(1);  // inline mode
-  try {
-    pool.parallel_for(10, [&](std::size_t i) {
-      if (i == 3) throw std::runtime_error("iteration 3");
-    });
-    FAIL() << "expected an exception";
-  } catch (const std::runtime_error& e) {
-    EXPECT_STREQ(e.what(), "iteration 3");
-  }
-}
-
-TEST(ThreadPool, NestedParallelForRunsInline) {
-  ThreadPool pool(4);
-  std::atomic<int> inner_total{0};
-  std::atomic<int> nested_inline{0};
-  pool.parallel_for(8, [&](std::size_t) {
-    EXPECT_TRUE(ThreadPool::in_worker());
-    // Nested call on the same (global) pool must not deadlock: it runs
-    // inline on the worker.
-    ThreadPool::global().parallel_for(5, [&](std::size_t) { ++inner_total; });
-    ++nested_inline;
-  });
-  EXPECT_EQ(inner_total.load(), 8 * 5);
-  EXPECT_EQ(nested_inline.load(), 8);
-  EXPECT_FALSE(ThreadPool::in_worker());
-}
-
 TEST(ThreadPool, EnsureWorkersGrowsInlinePool) {
   ThreadPool pool(1);
   EXPECT_EQ(pool.size(), 1u);
@@ -73,8 +24,8 @@ TEST(ThreadPool, EnsureWorkersGrowsInlinePool) {
   pool.ensure_workers(2);  // never shrinks
   EXPECT_EQ(pool.size(), 3u);
   std::atomic<int> count{0};
-  pool.parallel_for(50, [&](std::size_t) { ++count; });
-  EXPECT_EQ(count.load(), 50);
+  pool.run_workers(4, [&](std::size_t) { ++count; });
+  EXPECT_EQ(count.load(), 4);
 }
 
 TEST(ThreadPool, RunWorkersRunsEveryIndexOnceCallerParticipates) {
