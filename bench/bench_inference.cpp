@@ -8,6 +8,11 @@
 // best-of-N host wall-clock per engine, verifies the two engines agree
 // bitwise, and writes BENCH_inference.json.
 //
+// The host speedup compares the simulator's own loops, not a device. Run
+// with GBMO_SIM_THREADS=1 to compare them on one core: the compiled engine
+// routes four trees per row in lockstep without branches and reduces with
+// vector adds, while the reference chases one tree's pointers at a time.
+//
 // Args (for smoke runs): --rows N --train-rows N --features N --outputs N
 //                        --trees N --depth N --repeat N
 #include <cmath>

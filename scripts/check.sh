@@ -135,11 +135,12 @@ if [[ "${GBMO_CHECK_TSAN:-1}" != "0" ]]; then
   fi
 fi
 
-# Optional AddressSanitizer stage over the checker's own tests (the shadow
-# bookkeeping plus deliberately out-of-bounds toy kernels must stay
-# memory-safe under suppression) and the data/bin-pack property tests
-# (GBMO_CHECK_ASAN=0 skips; also skipped when the toolchain can't link
-# -fsanitize=address).
+# Optional AddressSanitizer stage (GBMO_CHECK_ASAN=0 skips; also skipped when
+# the toolchain can't link -fsanitize=address) over the checker's own tests
+# (the shadow bookkeeping plus deliberately out-of-bounds toy kernels must
+# stay memory-safe under suppression), the data/bin-pack property tests, and
+# the compiled engine and serving tests: the engine's routing loop reads the
+# model through raw pointers.
 if [[ "${GBMO_CHECK_ASAN:-1}" != "0" ]]; then
   asan_probe="$(mktemp -d)"
   trap 'rm -rf "$asan_probe"' EXIT
@@ -149,8 +150,8 @@ if [[ "${GBMO_CHECK_ASAN:-1}" != "0" ]]; then
     cmake -B "$asan_build" -S "$repo" -DGBMO_SANITIZE=address
     cmake --build "$asan_build" -j "$(nproc)" --target gbmo_tests
     GBMO_SIM_CHECK=1 ctest --test-dir "$asan_build" --output-on-failure \
-      -R 'SimChecker|QuantizeProperties|BinPackProperties|ModelGolden|Faults|Checkpoint|Sketch|OutOfCore'
-    echo "check: ASan stage OK (checker + data property + fault-injection + out-of-core tests under -fsanitize=address)"
+      -R 'SimChecker|QuantizeProperties|BinPackProperties|ModelGolden|Faults|Checkpoint|Sketch|OutOfCore|CompiledModel|Serve|ModelServer|Registry\.'
+    echo "check: ASan stage OK (checker + data property + fault-injection + out-of-core + compiled engine + serving tests under -fsanitize=address)"
   else
     echo "check: ASan stage skipped (toolchain cannot link -fsanitize=address)"
   fi

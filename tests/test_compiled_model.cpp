@@ -1,13 +1,21 @@
 // CompiledModel: SoA compilation and the batched predict_compiled kernels
 // must be bit-identical to the scalar reference predict_scores — including
-// rows with missing values, through save/load, and at any scheduler thread
-// count — and degrade gracefully (unstaged traversal) when a device has no
-// room to stage a tree group in shared memory.
+// rows with missing or infinite values, trees renumbered at compile time,
+// lockstep groups mixing root-only and deep trees, through save/load, and at
+// any scheduler thread count — and degrade gracefully (unstaged traversal)
+// when a device has no room to stage a tree group in shared memory. The
+// kernels' charges are pinned field by field, and a batch narrower than the
+// model's split features is rejected.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstring>
 #include <limits>
+#include <map>
+#include <numeric>
+#include <random>
 #include <sstream>
 #include <string>
 
@@ -19,6 +27,7 @@
 #include "data/synthetic.h"
 #include "sim/faults.h"
 #include "sim/scheduler.h"
+#include "sim/sink.h"
 
 namespace gbmo::core {
 namespace {
@@ -55,6 +64,109 @@ bool bitwise_equal(const std::vector<float>& a, const std::vector<float>& b) {
          std::memcmp(a.data(), b.data(), a.size() * sizeof(float)) == 0;
 }
 
+constexpr int kEdgeCols = 6;
+
+// A hand-built d-output tree of exactly `depth` levels: the all-left spine
+// always splits, every other node stops early one time in four. Split
+// features, thresholds, default-left flags and leaf values are random.
+Tree hand_tree(int depth, int d, std::mt19937& rng) {
+  std::uniform_real_distribution<float> u(-1.0f, 1.0f);
+  Tree tree(d);
+  tree.add_root(0);
+  struct Open {
+    std::int32_t id;
+    int level;
+    bool spine;
+  };
+  std::vector<Open> open = {{0, 0, true}};
+  while (!open.empty()) {
+    const Open o = open.back();
+    open.pop_back();
+    if (o.level == depth || (!o.spine && rng() % 4 == 0)) {
+      std::vector<float> values(static_cast<std::size_t>(d));
+      for (auto& v : values) v = u(rng);
+      tree.set_leaf(o.id, values);
+      continue;
+    }
+    const auto feature = static_cast<std::int32_t>(rng() % kEdgeCols);
+    const auto [l, r] = tree.split_node(o.id, feature, /*split_bin=*/0, u(rng),
+                                        /*gain=*/1.0f, 0, 0, o.level + 1);
+    tree.node(static_cast<std::size_t>(o.id)).default_left = rng() % 2 == 0;
+    open.push_back({r, o.level + 1, false});
+    open.push_back({l, o.level + 1, o.spine});
+  }
+  return tree;
+}
+
+// The same tree with every node but the root at a shuffled id, as a model
+// file may lay it out: siblings are no longer adjacent.
+Tree permuted(const Tree& tree, std::mt19937& rng) {
+  const auto src = tree.raw_nodes();
+  std::vector<std::int32_t> new_id(src.size());
+  std::iota(new_id.begin(), new_id.end(), 0);
+  std::shuffle(new_id.begin() + 1, new_id.end(), rng);
+  std::vector<TreeNode> nodes(src.size());
+  for (std::size_t i = 0; i < src.size(); ++i) {
+    TreeNode n = src[i];
+    if (!n.is_leaf()) {
+      n.left = new_id[static_cast<std::size_t>(n.left)];
+      n.right = new_id[static_cast<std::size_t>(n.right)];
+    }
+    nodes[static_cast<std::size_t>(new_id[i])] = n;
+  }
+  const auto lv = tree.all_leaf_values();
+  Tree out(tree.n_outputs());
+  out.set_raw(std::move(nodes), std::vector<float>(lv.begin(), lv.end()),
+              tree.n_outputs());
+  return out;
+}
+
+struct RoutingCase {
+  std::string name;
+  std::vector<Tree> trees;
+  int n_outputs = 0;
+  data::DenseMatrix x;
+};
+
+// Inputs the trained models never produce: a loaded tree whose siblings are
+// not adjacent, root-only trees in the same lockstep group as depth-7 trees,
+// a tree count that is not a multiple of four, ±inf cells and NaN cells
+// reaching splits whose default_left is false.
+RoutingCase routing_edge_case() {
+  constexpr int kD = 3;
+  std::mt19937 rng(2024);
+  RoutingCase c{"edge forest", {}, kD, data::DenseMatrix(300, kEdgeCols)};
+  for (int depth : {0, 7, 7, 0, 3, -1, 0, 7, 2, 0, 7}) {
+    if (depth < 0) {
+      c.trees.push_back(permuted(hand_tree(5, kD, rng), rng));
+    } else {
+      c.trees.push_back(hand_tree(depth, kD, rng));
+    }
+  }
+  std::uniform_real_distribution<float> u(-1.5f, 1.5f);
+  auto vals = c.x.values();
+  for (std::size_t i = 0; i < vals.size(); ++i) {
+    vals[i] = i % 7 == 0    ? kNaN
+              : i % 11 == 0 ? std::numeric_limits<float>::infinity()
+              : i % 13 == 0 ? -std::numeric_limits<float>::infinity()
+                            : u(rng);
+  }
+  return c;
+}
+
+// A seeded trained model on a batch with NaN cells, plus the edge forest.
+std::vector<RoutingCase> routing_cases() {
+  const auto d = make_data(6);
+  GbmoBooster booster(small_cfg());
+  auto model = booster.fit(d);
+  auto batch = make_data(6, /*seed=*/91, /*nan_frac=*/0.07);
+  std::vector<RoutingCase> cases;
+  cases.push_back({"trained", std::move(model.trees), model.n_outputs,
+                   std::move(batch.x)});
+  cases.push_back(routing_edge_case());
+  return cases;
+}
+
 TEST(CompiledModel, HostTraversalMatchesReference) {
   const auto d = make_data(5);
   GbmoBooster booster(small_cfg());
@@ -70,25 +182,28 @@ TEST(CompiledModel, HostTraversalMatchesReference) {
 
   const auto reference = predict_scores(model.trees, d.x, model.n_outputs);
   EXPECT_TRUE(bitwise_equal(compiled.predict_host(d.x), reference));
+
+  for (const auto& c : routing_cases()) {
+    const auto host = CompiledModel::compile(c.trees, c.n_outputs).predict_host(c.x);
+    EXPECT_TRUE(bitwise_equal(host, predict_scores(c.trees, c.x, c.n_outputs)))
+        << c.name;
+  }
 }
 
 TEST(CompiledModel, DeviceBitIdenticalAcrossSimThreads) {
-  const auto d = make_data(6);
-  GbmoBooster booster(small_cfg());
-  const auto model = booster.fit(d);
-
-  // Predict a batch with injected NaN cells (missing values on the hot path).
-  auto batch = make_data(6, /*seed=*/91, /*nan_frac=*/0.07);
-  const auto reference = predict_scores(model.trees, batch.x, model.n_outputs);
-  const auto compiled = CompiledModel::compile(model.trees, model.n_outputs);
-
-  for (int threads : {1, 2, 4}) {
-    sim::set_sim_threads(threads);
-    sim::Device dev(sim::DeviceSpec::rtx4090());
-    std::vector<float> scores(reference.size());
-    predict_compiled(dev, compiled, batch.x, scores);
-    EXPECT_TRUE(bitwise_equal(scores, reference)) << "threads=" << threads;
-    EXPECT_GT(dev.modeled_seconds(), 0.0);
+  // Each case's batch carries NaN cells (missing values on the hot path).
+  for (const auto& c : routing_cases()) {
+    const auto reference = predict_scores(c.trees, c.x, c.n_outputs);
+    const auto compiled = CompiledModel::compile(c.trees, c.n_outputs);
+    for (int threads : {1, 2, 4}) {
+      sim::set_sim_threads(threads);
+      sim::Device dev(sim::DeviceSpec::rtx4090());
+      std::vector<float> scores(reference.size());
+      predict_compiled(dev, compiled, c.x, scores);
+      EXPECT_TRUE(bitwise_equal(scores, reference))
+          << c.name << " threads=" << threads;
+      EXPECT_GT(dev.modeled_seconds(), 0.0);
+    }
   }
   sim::set_sim_threads(0);
 }
@@ -232,6 +347,123 @@ TEST(CompiledModel, TinySharedMemoryFallsBackToUnstagedTraversal) {
   EXPECT_TRUE(bitwise_equal(scores, reference));
   // The fallback charges scattered node fetches, not shared-memory traffic.
   EXPECT_GT(dev.total_stats().gmem_random_accesses, 0u);
+
+  const auto edge = routing_edge_case();
+  const auto edge_reference = predict_scores(edge.trees, edge.x, edge.n_outputs);
+  std::vector<float> edge_scores(edge_reference.size());
+  predict_compiled(dev, CompiledModel::compile(edge.trees, edge.n_outputs),
+                   edge.x, edge_scores);
+  EXPECT_TRUE(bitwise_equal(edge_scores, edge_reference));
+}
+
+// Sums every charge by kernel label.
+struct KernelLog : sim::StatsSink {
+  std::map<std::string, sim::KernelStats> stats;
+  std::map<std::string, double> seconds;
+  void on_event(const sim::KernelEvent& e) override {
+    stats[*e.name] += e.stats;
+    seconds[*e.name] += e.seconds;
+  }
+  void on_span_begin(const std::string&, double) override {}
+  void on_span_end(double) override {}
+};
+
+std::array<std::uint64_t, 16> fields(const sim::KernelStats& s) {
+  return {s.gmem_coalesced_bytes, s.gmem_random_accesses,
+          s.atomic_global_ops,    s.atomic_global_conflicts,
+          s.atomic_shared_ops,    s.atomic_shared_conflicts,
+          s.smem_bytes,           s.flops,
+          s.blocks,               s.threads,
+          s.barriers,             s.sort_pairs_bytes,
+          s.scan_bytes,           s.check_violations,
+          s.faults_injected,      s.fault_retries};
+}
+
+// The engine's host loop may change; what it charges may not. Every
+// KernelStats field of both kernels and their modeled seconds are pinned for
+// a seeded model on a batch with NaN cells, staged (RTX 4090) and unstaged
+// (64-byte shared memory), at 1 and 4 scheduler threads.
+TEST(CompiledModel, KernelChargesArePinned) {
+  const auto d = make_data(5);
+  GbmoBooster booster(small_cfg());
+  const auto model = booster.fit(d);
+  const auto batch = make_data(5, /*seed=*/91, /*nan_frac=*/0.07);
+  const auto compiled = CompiledModel::compile(model.trees, model.n_outputs);
+
+  struct Pinned {
+    std::size_t smem;
+    std::array<std::uint64_t, 16> route, reduce;
+    double route_s, reduce_s, total_s;
+  };
+  // Fields in fields() order.
+  const Pinned pinned[] = {
+      {0,
+       {21496, 0, 0, 0, 0, 0, 171781, 0, 2, 512, 0, 0, 0, 0, 0, 0},
+       {84800, 3200, 0, 0, 0, 0, 0, 16000, 2, 512, 0, 0, 0, 0, 0, 0},
+       6.2296507936507936e-06, 8.253492063492064e-05, 8.8764571428571432e-05},
+      {64,
+       {12800, 25090, 0, 0, 0, 0, 0, 0, 16, 4096, 0, 0, 0, 0, 0, 0},
+       {84800, 3200, 0, 0, 0, 0, 0, 16000, 2, 512, 0, 0, 0, 0, 0, 0},
+       7.060984126984128e-05, 8.253492063492064e-05, 0.00015314476190476191},
+  };
+  for (int threads : {1, 4}) {
+    sim::set_sim_threads(threads);
+    for (const auto& p : pinned) {
+      auto spec = sim::DeviceSpec::rtx4090();
+      if (p.smem != 0) spec.shared_mem_per_block = p.smem;
+      sim::Device dev(spec);
+      KernelLog log;
+      dev.set_sink(&log);
+      std::vector<float> scores(batch.x.n_rows() * 5);
+      predict_compiled(dev, compiled, batch.x, scores);
+      const auto where = "smem=" + std::to_string(p.smem) +
+                         " threads=" + std::to_string(threads);
+      EXPECT_EQ(fields(log.stats["predict_compiled_route"]), p.route) << where;
+      EXPECT_EQ(fields(log.stats["predict_compiled_reduce"]), p.reduce) << where;
+      EXPECT_EQ(log.seconds["predict_compiled_route"], p.route_s) << where;
+      EXPECT_EQ(log.seconds["predict_compiled_reduce"], p.reduce_s) << where;
+      EXPECT_EQ(dev.modeled_seconds(), p.total_s) << where;
+    }
+  }
+  sim::set_sim_threads(0);
+}
+
+// A batch narrower than the model's widest split feature is an input error,
+// not an out-of-bounds read.
+TEST(CompiledModel, RejectsBatchNarrowerThanSplitFeatures) {
+  Tree tree(1);
+  tree.add_root(10);
+  const auto [left, right] =
+      tree.split_node(0, /*feature=*/5, /*split_bin=*/3, /*threshold=*/0.5f,
+                      /*gain=*/1.0f, 5, 5, 1);
+  tree.set_leaf(left, std::vector<float>{-1.0f});
+  tree.set_leaf(right, std::vector<float>{+1.0f});
+  const std::vector<Tree> trees = {tree};
+  const auto compiled = CompiledModel::compile(trees, 1);
+
+  sim::Device dev(sim::DeviceSpec::rtx4090());
+  const data::DenseMatrix narrow(4, 3, 1.0f);
+  std::vector<float> scores(4);
+  EXPECT_THROW(predict_compiled(dev, compiled, narrow, scores), gbmo::Error);
+  EXPECT_THROW((void)compiled.predict_host(narrow), gbmo::Error);
+
+  const data::DenseMatrix wide(4, 6, 1.0f);
+  predict_compiled(dev, compiled, wide, scores);
+  EXPECT_TRUE(bitwise_equal(scores, predict_scores(trees, wide, 1)));
+  EXPECT_TRUE(bitwise_equal(compiled.predict_host(wide), scores));
+}
+
+// Compilation walks each tree from its root at most once per node, so a
+// child link out of range or back to a visited node fails instead of
+// looping or reading out of bounds.
+TEST(CompiledModel, CompileRejectsBrokenChildLinks) {
+  std::mt19937 rng(7);
+  std::vector<Tree> trees = {hand_tree(3, 2, rng)};
+  trees[0].node(0).right = 100000;
+  EXPECT_THROW(CompiledModel::compile(trees, 2), gbmo::Error);
+  trees[0] = hand_tree(3, 2, rng);
+  trees[0].node(static_cast<std::size_t>(trees[0].node(0).left)).left = 0;
+  EXPECT_THROW(CompiledModel::compile(trees, 2), gbmo::Error);
 }
 
 }  // namespace
