@@ -138,9 +138,12 @@ fi
 # Optional AddressSanitizer stage (GBMO_CHECK_ASAN=0 skips; also skipped when
 # the toolchain can't link -fsanitize=address) over the checker's own tests
 # (the shadow bookkeeping plus deliberately out-of-bounds toy kernels must
-# stay memory-safe under suppression), the data/bin-pack property tests, and
-# the compiled engine and serving tests: the engine's routing loop reads the
-# model through raw pointers.
+# stay memory-safe under suppression), the data/bin-pack property tests, the
+# model loader's golden and malformed-file tests, the compiled engine and
+# serving tests (the engine's routing loop reads the model through raw
+# pointers), and the accessor, histogram, split and grower tests (the
+# builders' row compaction, the views' bulk adds and the dense histogram
+# passes index through raw and __restrict pointers).
 if [[ "${GBMO_CHECK_ASAN:-1}" != "0" ]]; then
   asan_probe="$(mktemp -d)"
   trap 'rm -rf "$asan_probe"' EXIT
@@ -150,8 +153,8 @@ if [[ "${GBMO_CHECK_ASAN:-1}" != "0" ]]; then
     cmake -B "$asan_build" -S "$repo" -DGBMO_SANITIZE=address
     cmake --build "$asan_build" -j "$(nproc)" --target gbmo_tests
     GBMO_SIM_CHECK=1 ctest --test-dir "$asan_build" --output-on-failure \
-      -R 'SimChecker|QuantizeProperties|BinPackProperties|ModelGolden|Faults|Checkpoint|Sketch|OutOfCore|CompiledModel|Serve|ModelServer|Registry\.'
-    echo "check: ASan stage OK (checker + data property + fault-injection + out-of-core + compiled engine + serving tests under -fsanitize=address)"
+      -R 'SimChecker|QuantizeProperties|BinPackProperties|ModelGolden|Faults|Checkpoint|Sketch|OutOfCore|CompiledModel|Serve|ModelServer|Registry\.|BuilderEquivalence|AdaptiveBuilder|HistogramLayoutTest|SubtractHistogramsTest|HistogramBuilders|AccessorsTest|Split|GrowerTest'
+    echo "check: ASan stage OK (checker + data property + model loader + fault-injection + out-of-core + compiled engine + serving + accessor/histogram/split/grower tests under -fsanitize=address)"
   else
     echo "check: ASan stage skipped (toolchain cannot link -fsanitize=address)"
   fi

@@ -7,6 +7,7 @@
 // traffic are proportional to nnz instead of n x m, which is the CSC
 // representation's payoff on sparse data.
 #include "common/error.h"
+#include "core/hist_common.h"
 #include "core/histogram.h"
 #include "sim/launch.h"
 
@@ -25,6 +26,14 @@ void build_level_histograms_csc(sim::Device& dev,
     GBMO_CHECK(node.hist != nullptr);
     GBMO_CHECK(node.totals.size() == static_cast<std::size_t>(d));
   }
+  // The dense helpers below restage and rebuild zero bins by the layout's
+  // zero bins, which must be the ones the CSC storage left out.
+  for (std::uint32_t f : features) {
+    GBMO_CHECK(csc.zero_bin(f) == layout.zero_bin(f));
+  }
+  HistBuildInput slots;
+  slots.layout = &layout;
+  slots.features = features;
 
   constexpr int kBlock = 256;
   // Grid: one block per (feature, entry chunk); flattened like the dense
@@ -40,18 +49,7 @@ void build_level_histograms_csc(sim::Device& dev,
   // histograms may be reused buffers) — other devices' feature slices stay
   // intact.
   sim::with_retry(dev, [&] {
-  for (const auto& node : per_node) {
-    for (std::uint32_t f : features) {
-      const int n_bins = layout.n_bins(f);
-      for (int b = 0; b < n_bins; ++b) {
-        const std::size_t base = layout.slot(f, b, 0);
-        for (int k = 0; k < d; ++k) {
-          node.hist->sums[base + static_cast<std::size_t>(k)] = {};
-        }
-        node.hist->counts[layout.bin_index(f, b)] = 0;
-      }
-    }
-  }
+  for (const auto& node : per_node) detail::restage_feature_slots(slots, *node.hist);
   sim::launch(dev, "hist_csc_sweep", grid, kBlock, [&](sim::BlockCtx& blk) {
     // The functional sweep runs once (block 0); the launch geometry above
     // carries the parallel shape for the cost model.
@@ -115,31 +113,11 @@ void build_level_histograms_csc(sim::Device& dev,
   });
   });
 
-  // Zero bins + zero-bin counts by subtraction, per node and feature.
+  // Zero bins + zero-bin counts by subtraction, per node.
   for (const auto& node : per_node) {
-    for (std::uint32_t f : features) {
-      const int n_bins = layout.n_bins(f);
-      const std::uint8_t zb = csc.zero_bin(f);
-      for (int k = 0; k < d; ++k) {
-        float g_sum = 0.0f, h_sum = 0.0f;
-        for (int b = 0; b < n_bins; ++b) {
-          if (b == zb) continue;
-          const auto& cell = node.hist->sums[layout.slot(f, b, k)];
-          g_sum += cell.g;
-          h_sum += cell.h;
-        }
-        auto& z = node.hist->sums[layout.slot(f, zb, k)];
-        z.g = node.totals[static_cast<std::size_t>(k)].g - g_sum;
-        z.h = node.totals[static_cast<std::size_t>(k)].h - h_sum;
-      }
-      std::uint32_t count = 0;
-      for (int b = 0; b < n_bins; ++b) {
-        if (b == zb) continue;
-        count += node.hist->counts[layout.bin_index(f, b)];
-      }
-      GBMO_CHECK(count <= node.node_count);
-      node.hist->counts[layout.bin_index(f, zb)] = node.node_count - count;
-    }
+    slots.node_totals = node.totals;
+    slots.node_count = node.node_count;
+    reconstruct_zero_bins(slots, *node.hist);
   }
 }
 

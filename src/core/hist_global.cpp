@@ -11,8 +11,6 @@
 // blk.commit() — the deterministic-accumulation rule that keeps results
 // bit-identical for any --sim-threads value (see sim/launch.h). The charged
 // counters still model the direct-atomic kernel, unchanged.
-#include <vector>
-
 #include "core/hist_common.h"
 #include "core/histogram.h"
 #include "sim/launch.h"
@@ -45,40 +43,38 @@ class GlobalBuilder final : public HistogramBuilder {
       const std::size_t chunk = static_cast<std::size_t>(blk.block_id()) %
                                 static_cast<std::size_t>(chunks);
       const std::uint32_t f = in.features[fi];
-      const std::uint8_t zb = layout.zero_bin(f);
       const std::size_t row_lo = chunk * kBlock;
       const std::size_t row_hi = std::min(n_rows, row_lo + kBlock);
       if (row_lo >= row_hi) return;
 
-      detail::BuildTally tally;
-      sim::ConflictTracker tracker;
-
-      // Block-private tile for this feature's slice; flushed in block-id
-      // order below so the accumulation order is worker-count-independent.
+      // Block-private tile for this feature's slice (per-thread scratch,
+      // zero-filled here); flushed in block-id order below so the
+      // accumulation order is worker-count-independent.
       const int n_bins = layout.n_bins(f);
-      std::vector<sim::GradPair> local(static_cast<std::size_t>(n_bins) *
-                                       static_cast<std::size_t>(d));
-      std::vector<std::uint32_t> local_counts(
-          static_cast<std::size_t>(n_bins), 0);
+      auto& scratch = detail::block_scratch();
+      scratch.tile.assign(static_cast<std::size_t>(n_bins) * static_cast<std::size_t>(d),
+                          sim::GradPair{});
+      scratch.tile_counts.assign(static_cast<std::size_t>(n_bins), 0);
 
-      for (std::size_t r = row_lo; r < row_hi; ++r) {
-        const std::size_t row = in.node_rows[r];
-        const std::uint8_t bin = detail::fetch_bin(*in.bins, in.packed, row, f);
-        ++tally.elements;
-        if (in.sparsity_aware && bin == zb) continue;
-        ++tally.nonzero;
-
-        const std::size_t base = layout.slot(f, bin, 0);
-        tally.conflict_hits += tracker.note(static_cast<std::uintptr_t>(base));
+      // Every non-zero-bin row, in row order.
+      detail::BuildTally tally;
+      tally.elements = row_hi - row_lo;
+      tally.nonzero = detail::compact_rows(in, f, row_lo, row_hi, 0, n_bins, scratch);
+      sim::ConflictTracker tracker;
+      const std::size_t slot0 = layout.slot(f, 0, 0);
+      for (std::size_t i = 0; i < tally.nonzero; ++i) {
+        const std::size_t row = scratch.rows[i];
+        const std::size_t lbase =
+            static_cast<std::size_t>(scratch.bins[i]) * static_cast<std::size_t>(d);
+        tally.conflict_hits += tracker.note(static_cast<std::uintptr_t>(slot0 + lbase));
         const float* gi = in.g.data() + row * static_cast<std::size_t>(d);
         const float* hi = in.h.data() + row * static_cast<std::size_t>(d);
-        sim::GradPair* slot =
-            local.data() + static_cast<std::size_t>(bin) * static_cast<std::size_t>(d);
+        sim::GradPair* slot = scratch.tile.data() + lbase;
         for (int k = 0; k < d; ++k) {
           slot[k].g += gi[k];
           slot[k].h += hi[k];
         }
-        ++local_counts[bin];
+        ++scratch.tile_counts[scratch.bins[i]];
       }
 
       // Checked views over the cross-block histogram (race/memory checker;
@@ -90,16 +86,13 @@ class GlobalBuilder final : public HistogramBuilder {
 
       blk.commit([&] {
         for (int b = 0; b < n_bins; ++b) {
-          if (local_counts[static_cast<std::size_t>(b)] == 0) continue;
-          const std::size_t gbase = layout.slot(f, b, 0);
-          const std::size_t lbase =
-              static_cast<std::size_t>(b) * static_cast<std::size_t>(d);
-          for (int k = 0; k < d; ++k) {
-            sums_v.atomic_add(gbase + static_cast<std::size_t>(k),
-                              local[lbase + static_cast<std::size_t>(k)]);
-          }
-          counts_v.atomic_add(layout.bin_index(f, b),
-                              local_counts[static_cast<std::size_t>(b)]);
+          const std::uint32_t bin_count = scratch.tile_counts[static_cast<std::size_t>(b)];
+          if (bin_count == 0) continue;
+          const sim::GradPair* local = scratch.tile.data() +
+                                       static_cast<std::size_t>(b) * static_cast<std::size_t>(d);
+          sums_v.atomic_add_n(layout.slot(f, b, 0), static_cast<std::size_t>(d),
+                              [local](std::size_t k) { return local[k]; });
+          counts_v.atomic_add(layout.bin_index(f, b), bin_count);
         }
       });
 

@@ -9,6 +9,11 @@
 //   3. synchronizes and flushes the tile into the global histogram.
 // The tiling parameters — chunk size and bin offset — are computed per block
 // from the device's shared-memory budget, exactly as the paper describes.
+//
+// On the host, step 2 is detail::compact_rows with the tile's bin range
+// followed by one d-wide atomic_add_n per kept row, and step 3 is one
+// atomic_add_n per touched bin; the charges below are what the per-element
+// kernel does, whatever the host loop looks like.
 #include <vector>
 
 #include "core/hist_common.h"
@@ -74,14 +79,8 @@ class SharedBuilder final : public HistogramBuilder {
     sim::with_retry(dev, [&] {
     detail::restage_feature_slots(in, out);
     sim::launch(dev, "hist_smem", grid, 256, [&](sim::BlockCtx& blk) {
-      // Block-private shared-memory tile: as on hardware, blocks share
-      // nothing but global memory.
-      std::vector<sim::GradPair> tile;
-      std::vector<std::uint32_t> tile_counts;
-
       const BlockJob job = jobs[static_cast<std::size_t>(blk.block_id())];
       const std::uint32_t f = in.features[job.feature_idx];
-      const std::uint8_t zb = layout.zero_bin(f);
       const int n_bins = layout.n_bins(f);
       const int bin_lo = static_cast<int>(job.pass) * chunk_bins;
       const int bin_hi = std::min(n_bins, bin_lo + chunk_bins);
@@ -89,45 +88,43 @@ class SharedBuilder final : public HistogramBuilder {
       const std::size_t row_hi = std::min(n_rows, row_lo + kRowsPerBlock);
       if (row_lo >= row_hi) return;
 
-      const std::size_t tile_size =
-          static_cast<std::size_t>(bin_hi - bin_lo) * static_cast<std::size_t>(d);
-      tile.assign(tile_size, sim::GradPair{});
-      tile_counts.assign(static_cast<std::size_t>(bin_hi - bin_lo), 0);
+      // Block-private shared-memory tile: as on hardware, blocks share
+      // nothing but global memory. The host storage is per-thread scratch,
+      // zero-filled here for this block.
+      auto& scratch = detail::block_scratch();
+      const std::size_t tile_bins = static_cast<std::size_t>(bin_hi - bin_lo);
+      const std::size_t tile_size = tile_bins * static_cast<std::size_t>(d);
+      scratch.tile.assign(tile_size, sim::GradPair{});
+      scratch.tile_counts.assign(tile_bins, 0);
 
       // Checked views (race/memory checker; non-counting — the bulk tallies
       // below stay the profile of record). The tiles were zero-filled above,
       // the global histogram accumulates across blocks under commit.
-      auto tile_v = blk.shared_view(tile, "hist_tile", sim::SharedInit::kZeroed);
-      auto tile_counts_v = blk.shared_view(tile_counts, "hist_tile_counts",
+      auto tile_v = blk.shared_view(scratch.tile, "hist_tile", sim::SharedInit::kZeroed);
+      auto tile_counts_v = blk.shared_view(scratch.tile_counts, "hist_tile_counts",
                                            sim::SharedInit::kZeroed);
       auto sums_v =
           blk.global_view(std::span<sim::GradPair>(out.sums), "hist_sums");
       auto counts_v =
           blk.global_view(std::span<std::uint32_t>(out.counts), "hist_counts");
 
+      // Rows whose bin is in this tile (and not the zero bin), in row order.
       detail::BuildTally tally;
+      tally.elements = row_hi - row_lo;
+      tally.nonzero =
+          detail::compact_rows(in, f, row_lo, row_hi, bin_lo, bin_hi - bin_lo, scratch);
       sim::ConflictTracker tracker;
-      std::uint64_t smem_updates = 0;
-
-      for (std::size_t r = row_lo; r < row_hi; ++r) {
-        const std::size_t row = in.node_rows[r];
-        const std::uint8_t bin = detail::fetch_bin(*in.bins, in.packed, row, f);
-        ++tally.elements;
-        if (bin < bin_lo || bin >= bin_hi) continue;
-        if (in.sparsity_aware && bin == zb) continue;
-        ++tally.nonzero;
-
-        const std::size_t base =
-            static_cast<std::size_t>(bin - bin_lo) * static_cast<std::size_t>(d);
+      for (std::size_t i = 0; i < tally.nonzero; ++i) {
+        const std::size_t row = scratch.rows[i];
+        const std::size_t t = static_cast<std::size_t>(scratch.bins[i] - bin_lo);
+        const std::size_t base = t * static_cast<std::size_t>(d);
         tally.conflict_hits += tracker.note(static_cast<std::uintptr_t>(base));
         const float* gi = in.g.data() + row * static_cast<std::size_t>(d);
         const float* hi = in.h.data() + row * static_cast<std::size_t>(d);
-        for (int k = 0; k < d; ++k) {
-          tile_v.atomic_add(base + static_cast<std::size_t>(k),
-                            sim::GradPair{gi[k], hi[k]});
-        }
-        tile_counts_v.atomic_add(static_cast<std::size_t>(bin - bin_lo), 1u);
-        ++smem_updates;
+        tile_v.atomic_add_n(base, static_cast<std::size_t>(d), [gi, hi](std::size_t k) {
+          return sim::GradPair{gi[k], hi[k]};
+        });
+        tile_counts_v.atomic_add(t, 1u);
       }
 
       blk.sync();  // all accumulation visible before the flush phase
@@ -137,17 +134,13 @@ class SharedBuilder final : public HistogramBuilder {
       // block-id order, worker-count-independent.
       std::uint64_t flushed = 0;
       blk.commit([&] {
-        for (int b = bin_lo; b < bin_hi; ++b) {
-          const std::size_t tbase =
-              static_cast<std::size_t>(b - bin_lo) * static_cast<std::size_t>(d);
-          const std::uint32_t bin_count =
-              tile_counts_v.load(static_cast<std::size_t>(b - bin_lo));
+        for (std::size_t t = 0; t < tile_bins; ++t) {
+          const std::uint32_t bin_count = tile_counts_v.load(t);
           if (bin_count == 0) continue;
-          const std::size_t gbase = layout.slot(f, b, 0);
-          for (int k = 0; k < d; ++k) {
-            sums_v.atomic_add(gbase + static_cast<std::size_t>(k),
-                              tile_v.load(tbase + static_cast<std::size_t>(k)));
-          }
+          const int b = bin_lo + static_cast<int>(t);
+          const std::size_t tbase = t * static_cast<std::size_t>(d);
+          sums_v.atomic_add_n(layout.slot(f, b, 0), static_cast<std::size_t>(d),
+                              [&](std::size_t k) { return tile_v.load(tbase + k); });
           counts_v.atomic_add(layout.bin_index(f, b), bin_count);
           flushed += static_cast<std::uint64_t>(d);
         }
@@ -156,15 +149,16 @@ class SharedBuilder final : public HistogramBuilder {
       auto& s = blk.stats();
       tally.fold_common(s, d, in.packed, in.csc_indirection);
       // Tile init + accumulation + flush-read all hit shared memory.
-      s.smem_bytes += (tile_size * 2 + smem_updates * static_cast<std::uint64_t>(d) * 2) *
-                      sizeof(sim::GradPair);
+      s.smem_bytes +=
+          (tile_size * 2 + tally.nonzero * static_cast<std::uint64_t>(d) * 2) *
+          sizeof(sim::GradPair);
       // One shared-memory atomic per 32-bit word of the d-wide update.
-      s.atomic_shared_ops += smem_updates * static_cast<std::uint64_t>(d) * 2;
+      s.atomic_shared_ops += tally.nonzero * static_cast<std::uint64_t>(d) * 2;
       s.atomic_shared_conflicts += tally.conflict_hits;
       // Flush: one global atomic per word + write traffic.
       s.atomic_global_ops += flushed * 2;
       s.gmem_coalesced_bytes += flushed * 2 * sizeof(sim::GradPair);
-      s.flops += smem_updates * static_cast<std::uint64_t>(d) * 2;
+      s.flops += tally.nonzero * static_cast<std::uint64_t>(d) * 2;
     });
     });
 

@@ -1,5 +1,7 @@
 #include "core/histogram.h"
 
+#include <algorithm>
+
 #include "common/error.h"
 #include "sim/cost_model.h"
 #include "sim/launch.h"
@@ -64,30 +66,34 @@ std::unique_ptr<HistogramBuilder> make_builder(HistMethod method) {
 void reconstruct_zero_bins(const HistBuildInput& in, NodeHistogram& out) {
   if (!in.sparsity_aware) return;
   const auto& layout = *in.layout;
-  const int d = layout.n_outputs();
-  GBMO_CHECK(in.node_totals.size() == static_cast<std::size_t>(d));
+  const std::size_t d = static_cast<std::size_t>(layout.n_outputs());
+  GBMO_CHECK(in.node_totals.size() == d);
 
+  // Bin-major over each feature's contiguous slice with a d-wide
+  // accumulator: every output still adds its non-zero bins in ascending
+  // order from 0, as a per-output loop would.
+  std::vector<sim::GradPair> sum(d);
   for (std::uint32_t f : in.features) {
     const int n_bins = layout.n_bins(f);
-    const std::uint8_t zb = layout.zero_bin(f);
-    // Zero-bin sums = node totals − Σ other bins (per output).
-    for (int k = 0; k < d; ++k) {
-      float g_sum = 0.0f;
-      float h_sum = 0.0f;
-      for (int b = 0; b < n_bins; ++b) {
-        if (b == zb) continue;
-        const auto& p = out.sums[layout.slot(f, b, k)];
-        g_sum += p.g;
-        h_sum += p.h;
-      }
-      auto& z = out.sums[layout.slot(f, zb, k)];
-      z.g = in.node_totals[static_cast<std::size_t>(k)].g - g_sum;
-      z.h = in.node_totals[static_cast<std::size_t>(k)].h - h_sum;
-    }
+    const int zb = layout.zero_bin(f);
+    const sim::GradPair* bins = out.sums.data() + layout.slot(f, 0, 0);
+    const std::uint32_t* counts = out.counts.data() + layout.bin_index(f, 0);
+    std::fill(sum.begin(), sum.end(), sim::GradPair{});
     std::uint32_t count = 0;
     for (int b = 0; b < n_bins; ++b) {
       if (b == zb) continue;
-      count += out.counts[layout.bin_index(f, b)];
+      const sim::GradPair* p = bins + static_cast<std::size_t>(b) * d;
+      for (std::size_t k = 0; k < d; ++k) {
+        sum[k].g += p[k].g;
+        sum[k].h += p[k].h;
+      }
+      count += counts[b];
+    }
+    // Zero-bin sums = node totals − Σ other bins (per output).
+    sim::GradPair* z = out.sums.data() + layout.slot(f, zb, 0);
+    for (std::size_t k = 0; k < d; ++k) {
+      z[k].g = in.node_totals[k].g - sum[k].g;
+      z[k].h = in.node_totals[k].h - sum[k].h;
     }
     GBMO_CHECK(count <= in.node_count)
         << "non-zero bin counts exceed node size for feature " << f;
@@ -154,23 +160,23 @@ void subtract_histograms(sim::Device& dev, const HistogramLayout& layout,
                          std::span<const std::uint32_t> features,
                          const NodeHistogram& parent, const NodeHistogram& smaller,
                          NodeHistogram& larger) {
-  const int d = layout.n_outputs();
+  GBMO_DCHECK(&larger != &parent && &larger != &smaller);
+  const std::size_t d = static_cast<std::size_t>(layout.n_outputs());
   std::uint64_t slots = 0;
   for (std::uint32_t f : features) {
-    const int n_bins = layout.n_bins(f);
-    for (int b = 0; b < n_bins; ++b) {
-      const std::size_t base = layout.slot(f, b, 0);
-      for (int k = 0; k < d; ++k) {
-        larger.sums[base + static_cast<std::size_t>(k)] = sim::GradPair{
-            parent.sums[base + static_cast<std::size_t>(k)].g -
-                smaller.sums[base + static_cast<std::size_t>(k)].g,
-            parent.sums[base + static_cast<std::size_t>(k)].h -
-                smaller.sums[base + static_cast<std::size_t>(k)].h};
-      }
-      const std::size_t bi = layout.bin_index(f, b);
-      larger.counts[bi] = parent.counts[bi] - smaller.counts[bi];
-      slots += static_cast<std::uint64_t>(d);
+    // One flat pass over the feature's contiguous slots.
+    const std::size_t lo = layout.bin_index(f, 0);
+    const std::size_t n_bins = static_cast<std::size_t>(layout.n_bins(f));
+    const sim::GradPair* __restrict par = parent.sums.data() + lo * d;
+    const sim::GradPair* __restrict small = smaller.sums.data() + lo * d;
+    sim::GradPair* __restrict large = larger.sums.data() + lo * d;
+    for (std::size_t i = 0; i < n_bins * d; ++i) {
+      large[i] = sim::GradPair{par[i].g - small[i].g, par[i].h - small[i].h};
     }
+    for (std::size_t b = lo; b < lo + n_bins; ++b) {
+      larger.counts[b] = parent.counts[b] - smaller.counts[b];
+    }
+    slots += n_bins * d;
   }
   // One elementwise kernel: read parent+smaller, write larger.
   sim::KernelStats s;

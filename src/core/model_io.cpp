@@ -127,6 +127,9 @@ Model read_model(std::istream& is) {
     for (auto& n : nodes) {
       GBMO_CHECK(static_cast<bool>(is >> tag >> n.feature >> n.split_bin) &&
                  tag == "node");
+      GBMO_CHECK(n.is_leaf() || static_cast<std::size_t>(n.feature) < n_features)
+          << "split feature " << n.feature << " out of range for "
+          << n_features << " features";
       n.threshold = read_float(is);
       GBMO_CHECK(static_cast<bool>(is >> n.left >> n.right >> n.leaf_offset));
       n.gain = read_float(is);

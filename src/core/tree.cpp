@@ -79,12 +79,22 @@ void Tree::set_raw(std::vector<TreeNode> nodes, std::vector<float> leaf_values,
     }
   }
   // Recompute the depth (construction tracks it; raw loads must rebuild it).
+  // The walk visits each node at most once, so a child id out of range or
+  // pointing back at a reached node fails instead of looping or reading past
+  // the node array.
   max_depth_ = 0;
   if (!nodes_.empty()) {
+    std::vector<bool> reached(nodes_.size(), false);
     std::vector<std::pair<std::int32_t, int>> stack = {{0, 0}};
     while (!stack.empty()) {
       const auto [id, depth] = stack.back();
       stack.pop_back();
+      GBMO_CHECK(id >= 0 && static_cast<std::size_t>(id) < nodes_.size())
+          << "child id " << id << " out of range for " << nodes_.size()
+          << " nodes";
+      GBMO_CHECK(!reached[static_cast<std::size_t>(id)])
+          << "node " << id << " is reached twice";
+      reached[static_cast<std::size_t>(id)] = true;
       max_depth_ = std::max(max_depth_, depth);
       const auto& n = nodes_[static_cast<std::size_t>(id)];
       if (!n.is_leaf()) {

@@ -82,6 +82,7 @@ Dataset make_multiclass(const MulticlassSpec& spec) {
   std::vector<std::int32_t> class_ids(spec.n_instances);
 
   std::vector<float> latent(static_cast<std::size_t>(informative));
+  std::vector<float> acc(spec.n_features);
   for (std::size_t i = 0; i < spec.n_instances; ++i) {
     const int c = static_cast<int>(rng.next_below(static_cast<std::uint64_t>(spec.n_classes)));
     class_ids[i] = c;
@@ -90,15 +91,19 @@ Dataset make_multiclass(const MulticlassSpec& spec) {
           centers[static_cast<std::size_t>(c) * informative + j] +
           static_cast<float>(spec.noise_std) * rng.normal_f();
     }
+    // Each feature adds its informative terms in ascending j; running the
+    // features side by side keeps their sums independent rather than one
+    // long dependent chain per feature.
+    std::fill(acc.begin(), acc.end(), 0.0f);
+    for (int j = 0; j < informative; ++j) {
+      const float l = latent[static_cast<std::size_t>(j)];
+      const float* rot = rotation.data() + static_cast<std::size_t>(j) * spec.n_features;
+      for (std::size_t f = 0; f < spec.n_features; ++f) acc[f] += l * rot[f];
+    }
     auto row = d.x.row(i);
     for (std::size_t f = 0; f < spec.n_features; ++f) {
-      float acc = 0.0f;
-      for (int j = 0; j < informative; ++j) {
-        acc += latent[static_cast<std::size_t>(j)] *
-               rotation[static_cast<std::size_t>(j) * spec.n_features + f];
-      }
       // Noise floor keeps non-informative directions non-degenerate.
-      row[f] = acc + 0.05f * rng.normal_f();
+      row[f] = acc[f] + 0.05f * rng.normal_f();
     }
   }
 

@@ -19,6 +19,11 @@
 //     check per access).
 // Out-of-bounds accesses under an armed checker are recorded and suppressed
 // (loads return T{}, stores are dropped) so the checker itself is safe.
+//
+// atomic_add_n is the d-wide vector update: on a counting view or under an
+// armed checker it is exactly n atomic_add calls; on a plain passthrough it
+// checks the range once and runs a flat loop, so kernels call it
+// unconditionally.
 #pragma once
 
 #include <cstdint>
@@ -32,6 +37,21 @@
 namespace gbmo::sim {
 
 enum class Access : std::uint8_t { kCoalesced, kRandom, kBroadcast };
+
+namespace detail {
+// dst[k] += src(k) for k < n, four words per pass.
+template <typename T, typename Src>
+inline void add_n(T* __restrict dst, std::size_t n, Src& src) {
+  std::size_t k = 0;
+  for (; k + 4 <= n; k += 4) {
+    dst[k] += src(k);
+    dst[k + 1] += src(k + 1);
+    dst[k + 2] += src(k + 2);
+    dst[k + 3] += src(k + 3);
+  }
+  for (; k < n; ++k) dst[k] += src(k);
+}
+}  // namespace detail
 
 template <typename T>
 class Global {
@@ -88,6 +108,17 @@ class Global {
       stats_->atomic_global_conflicts +=
           conflicts_.note(reinterpret_cast<std::uintptr_t>(&data_[i]));
     }
+  }
+
+  // Adds src(k) to word i + k for every k < n, in ascending k.
+  template <typename Src>
+  void atomic_add_n(std::size_t i, std::size_t n, Src&& src) {
+    if (check_ != nullptr || stats_ != nullptr) {
+      for (std::size_t k = 0; k < n; ++k) atomic_add(i + k, src(k));
+      return;
+    }
+    GBMO_DCHECK(i <= data_.size() && n <= data_.size() - i);
+    detail::add_n(data_.data() + i, n, src);
   }
 
   std::size_t size() const { return data_.size(); }
@@ -167,6 +198,17 @@ class Shared {
       stats_->atomic_shared_conflicts +=
           conflicts_.note(reinterpret_cast<std::uintptr_t>(&data_[i]));
     }
+  }
+
+  // Adds src(k) to word i + k for every k < n, in ascending k.
+  template <typename Src>
+  void atomic_add_n(std::size_t i, std::size_t n, Src&& src) {
+    if (check_ != nullptr || stats_ != nullptr) {
+      for (std::size_t k = 0; k < n; ++k) atomic_add(i + k, src(k));
+      return;
+    }
+    GBMO_DCHECK(i <= data_.size() && n <= data_.size() - i);
+    detail::add_n(data_.data() + i, n, src);
   }
 
   std::size_t size() const { return data_.size(); }

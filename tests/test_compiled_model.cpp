@@ -25,6 +25,7 @@
 #include "core/predictor.h"
 #include "data/quantize.h"
 #include "data/synthetic.h"
+#include "kernel_log.h"
 #include "sim/faults.h"
 #include "sim/scheduler.h"
 #include "sim/sink.h"
@@ -356,28 +357,8 @@ TEST(CompiledModel, TinySharedMemoryFallsBackToUnstagedTraversal) {
   EXPECT_TRUE(bitwise_equal(edge_scores, edge_reference));
 }
 
-// Sums every charge by kernel label.
-struct KernelLog : sim::StatsSink {
-  std::map<std::string, sim::KernelStats> stats;
-  std::map<std::string, double> seconds;
-  void on_event(const sim::KernelEvent& e) override {
-    stats[*e.name] += e.stats;
-    seconds[*e.name] += e.seconds;
-  }
-  void on_span_begin(const std::string&, double) override {}
-  void on_span_end(double) override {}
-};
-
-std::array<std::uint64_t, 16> fields(const sim::KernelStats& s) {
-  return {s.gmem_coalesced_bytes, s.gmem_random_accesses,
-          s.atomic_global_ops,    s.atomic_global_conflicts,
-          s.atomic_shared_ops,    s.atomic_shared_conflicts,
-          s.smem_bytes,           s.flops,
-          s.blocks,               s.threads,
-          s.barriers,             s.sort_pairs_bytes,
-          s.scan_bytes,           s.check_violations,
-          s.faults_injected,      s.fault_retries};
-}
+using test::fields;
+using test::KernelLog;
 
 // The engine's host loop may change; what it charges may not. Every
 // KernelStats field of both kernels and their modeled seconds are pinned for

@@ -191,5 +191,36 @@ TEST(ModelGolden, RankingGoldenFileRoundTrip) {
   EXPECT_EQ(model.categoricals.size(), 1u);
 }
 
+// Rewrites one field of the golden's first node line (0 = the "node" tag,
+// 1 = feature, 4 = left, 5 = right).
+std::string with_first_node_field(int field, const std::string& value) {
+  std::string text = read_file(kGoldenModel);
+  const std::size_t line = text.find("\nnode ") + 1;
+  std::size_t start = line;
+  for (int i = 0; i < field; ++i) start = text.find(' ', start) + 1;
+  text.replace(start, text.find(' ', start) - start, value);
+  return text;
+}
+
+void expect_load_error(const std::string& text) {
+  ASSERT_FALSE(text.empty());
+  std::istringstream is(text);
+  EXPECT_THROW(core::read_model(is), Error);
+}
+
+TEST(ModelGolden, RejectsSplitThatIsItsOwnChild) {
+  std::istringstream unchanged(with_first_node_field(4, "1"));
+  EXPECT_EQ(serialize(core::read_model(unchanged)), read_file(kGoldenModel));
+  expect_load_error(with_first_node_field(4, "0"));
+}
+
+TEST(ModelGolden, RejectsOutOfRangeChild) {
+  expect_load_error(with_first_node_field(5, "100000"));
+}
+
+TEST(ModelGolden, RejectsSplitFeaturePastFeatureCount) {
+  expect_load_error(with_first_node_field(1, "4000"));
+}
+
 }  // namespace
 }  // namespace gbmo

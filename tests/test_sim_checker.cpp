@@ -217,12 +217,19 @@ TEST(SimChecker, OutOfBoundsFlaggedAndSuppressed) {
     gv.store(gmem.size() + 3, 1.0f);   // suppressed, flagged
     sink += gv.load(gmem.size());      // suppressed, flagged, returns 0
     sink += sv.load(smem.size() + 1);  // suppressed, flagged, returns 0
+    // Bulk adds straddling the end: in-bounds words add, the rest are
+    // suppressed and flagged word by word.
+    const auto one = [](std::size_t) { return 1.0f; };
+    blk.commit([&] { gv.atomic_add_n(gmem.size() - 1, 3, one); });
+    sv.atomic_add_n(smem.size() - 2, 3, one);
   });
   EXPECT_EQ(sink, 0.0f);
+  EXPECT_EQ(gmem.back(), 1.0f);
+  EXPECT_EQ(smem, (std::vector<float>{0.0f, 0.0f, 1.0f, 1.0f}));
   auto& report = sim::CheckReport::instance();
-  EXPECT_EQ(report.kernel_violations("toy_oob"), 3u);
-  EXPECT_EQ(report.kind_violations(sim::ViolationKind::kGlobalOob), 2u);
-  EXPECT_EQ(report.kind_violations(sim::ViolationKind::kSharedOob), 1u);
+  EXPECT_EQ(report.kernel_violations("toy_oob"), 6u);
+  EXPECT_EQ(report.kind_violations(sim::ViolationKind::kGlobalOob), 4u);
+  EXPECT_EQ(report.kind_violations(sim::ViolationKind::kSharedOob), 2u);
   const auto offenders = report.first_offenders();
   ASSERT_FALSE(offenders.empty());
   EXPECT_EQ(offenders.front().site, "gbuf");

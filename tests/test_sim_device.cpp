@@ -206,6 +206,42 @@ TEST(ConflictTrackerTest, RepeatedAddressesReportCollisions) {
   EXPECT_GT(same_hits, 10 * distinct_hits + 100);
 }
 
+// The d-wide bulk add on a counting view charges and adds exactly what the
+// same per-word atomic_add calls do; on a passthrough view it adds the same
+// values.
+TEST(AccessorsTest, BulkAtomicAddMatchesPerWordAdds) {
+  const auto src = [](std::size_t k) { return 0.5f + static_cast<float>(k); };
+  std::vector<float> bulk(12, 1.0f), words(12, 1.0f), plain(12, 1.0f);
+  KernelStats bulk_stats, word_stats;
+  Global<float> gb(std::span<float>(bulk), bulk_stats);
+  Global<float> gw(std::span<float>(words), word_stats);
+  Global<float> gp(std::span<float>(plain), nullptr, "plain");
+  for (int pass = 0; pass < 3; ++pass) {
+    gb.atomic_add_n(2, 9, src);
+    for (std::size_t k = 0; k < 9; ++k) gw.atomic_add(2 + k, src(k));
+    gp.atomic_add_n(2, 9, src);
+  }
+  EXPECT_EQ(bulk, words);
+  EXPECT_EQ(plain, words);
+  EXPECT_EQ(bulk_stats.atomic_global_ops, 27u);
+  EXPECT_EQ(bulk_stats.atomic_global_ops, word_stats.atomic_global_ops);
+  EXPECT_EQ(bulk_stats.atomic_global_conflicts, word_stats.atomic_global_conflicts);
+
+  std::vector<float> sbulk(5, 0.0f), swords(5, 0.0f);
+  KernelStats sbulk_stats, sword_stats;
+  Shared<float> sb(sbulk, sbulk_stats);
+  Shared<float> sw(swords, sword_stats);
+  for (int pass = 0; pass < 5; ++pass) {
+    sb.atomic_add_n(0, 5, src);
+    for (std::size_t k = 0; k < 5; ++k) sw.atomic_add(k, src(k));
+  }
+  EXPECT_EQ(sbulk, swords);
+  EXPECT_EQ(sbulk_stats.atomic_shared_ops, 25u);
+  EXPECT_EQ(sbulk_stats.atomic_shared_ops, sword_stats.atomic_shared_ops);
+  EXPECT_EQ(sbulk_stats.atomic_shared_conflicts, sword_stats.atomic_shared_conflicts);
+  EXPECT_GT(sbulk_stats.atomic_shared_conflicts, 0u);
+}
+
 TEST(MemoryLedger, ChargeReleasePeakAndBudget) {
   Device dev(DeviceSpec::rtx4090());
   EXPECT_EQ(dev.ledger_bytes("cache"), 0u);
