@@ -70,7 +70,9 @@ int main(int argc, char** argv) {
   const auto train = gbmo::data::make_multiregression(spec);
 
   auto cfg = gbmo::bench::paper_config();
-  cfg.trees(trees).depth(depth).bins(bins);
+  cfg.n_trees = trees;
+  cfg.max_depth = depth;
+  cfg.max_bins = bins;
 
   // Single-device reference: the model every distributed run must reproduce
   // bitwise (the canonical histogram is built in 1-device accumulation order

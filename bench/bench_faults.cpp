@@ -81,7 +81,9 @@ int main(int argc, char** argv) {
   const auto train = gbmo::data::make_multiregression(spec);
 
   auto cfg = gbmo::bench::paper_config();
-  cfg.trees(trees).depth(depth).bins(64);
+  cfg.n_trees = trees;
+  cfg.max_depth = depth;
+  cfg.max_bins = 64;
 
   JsonReport json("faults");
   json.set("rows", static_cast<double>(rows));

@@ -73,7 +73,9 @@ int main(int argc, char** argv) {
   const auto train = gbmo::data::make_multiregression(spec);
 
   auto cfg = gbmo::bench::paper_config();
-  cfg.trees(trees).depth(depth).bins(bins);
+  cfg.n_trees = trees;
+  cfg.max_depth = depth;
+  cfg.max_bins = bins;
 
   // In-core baseline: the reference model every rung must reproduce bitwise.
   progress("in-core baseline");
@@ -126,8 +128,8 @@ int main(int argc, char** argv) {
   for (const Rung& rung : ladder) {
     progress(std::string("budget ") + rung.label);
     auto run_cfg = cfg;
-    run_cfg.chunk_rows(chunk_rows);
-    run_cfg.device_budget(rung.budget);
+    run_cfg.stream_chunk_rows = chunk_rows;
+    run_cfg.device_budget_bytes = rung.budget;
     gbmo::core::GbmoBooster booster(run_cfg);
     WallTimer timer;
     const auto model = booster.fit(train);

@@ -79,8 +79,11 @@ std::shared_ptr<const gbmo::core::Model> train_model(std::size_t rows,
   spec.n_outputs = outputs;
   spec.seed = seed;
   const auto ds = gbmo::data::make_multiregression(spec);
-  gbmo::core::TrainConfig cfg;
-  cfg.trees(trees).depth(depth).bins(64).eta(0.3f).min_instances(8);
+  const gbmo::core::TrainConfig cfg{.n_trees = trees,
+                                    .max_depth = depth,
+                                    .learning_rate = 0.3f,
+                                    .min_instances_per_node = 8,
+                                    .max_bins = 64};
   gbmo::core::GbmoBooster booster(cfg);
   return std::make_shared<const gbmo::core::Model>(booster.fit(ds));
 }

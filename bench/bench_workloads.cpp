@@ -131,7 +131,9 @@ int main(int argc, char** argv) {
   const auto rank_train = gbmo::data::make_ranking(rank_spec);
 
   auto cfg = gbmo::bench::paper_config();
-  cfg.trees(trees).depth(depth).bins(bins);
+  cfg.n_trees = trees;
+  cfg.max_depth = depth;
+  cfg.max_bins = bins;
   std::vector<std::int32_t> cat_cols;
   for (int j = 0; j < cats; ++j) cat_cols.push_back(j);
 

@@ -32,10 +32,10 @@ int main() {
               split.train.n_features(), split.train.n_outputs());
 
   // 2. Training configuration (defaults follow the paper's setup; scaled
-  //    down here so the example runs in a blink). The fluent builder chains
-  //    over the same public fields — `cfg.n_trees = 40;` works identically.
-  const auto cfg =
-      core::TrainConfig::defaults().trees(40).depth(6).eta(0.5f).bins(64);
+  //    down here so the example runs in a blink). Designated initializers
+  //    name the fields to change; every other field keeps its default.
+  const core::TrainConfig cfg{
+      .n_trees = 40, .max_depth = 6, .learning_rate = 0.5f, .max_bins = 64};
 
   // 3. Train. One booster call runs the full pipeline: quantization,
   //    gradients, adaptive histogram construction, split selection,

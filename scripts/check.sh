@@ -11,6 +11,13 @@ build="${GBMO_CHECK_BUILD_DIR:-$repo/build-check}"
 
 cmake -B "$build" -S "$repo" -DCMAKE_CXX_FLAGS=-Werror
 cmake --build "$build" -j "$(nproc)"
+# Every test once, whatever its label (fast, slow, chaos, distributed,
+# workloads, fuzz — tests/CMakeLists.txt): the fault-injection suite, the
+# multi-node topology sweep and node-kill failover, the streaming-equivalence
+# suite, the categorical + ranking workloads and the 50-iteration
+# differential fuzz run all ride this one run. The later stages re-run tests
+# only under a different environment (checker armed, fault rate, NaN
+# fraction, sanitizers), plus the bench smokes.
 ctest --test-dir "$build" --output-on-failure -j "$(nproc)"
 
 # Race/memory-checker stage: the fast-labeled suite again with the sim
@@ -20,23 +27,6 @@ ctest --test-dir "$build" --output-on-failure -j "$(nproc)"
 GBMO_SIM_CHECK=1 ctest --test-dir "$build" --output-on-failure \
   -j "$(nproc)" -L fast
 echo "check: sim-check stage OK (fast suite with GBMO_SIM_CHECK=1)"
-
-# Chaos stage: the fault-injection suite (deterministic transient faults,
-# device-loss failover, checkpoint/resume, serve fallback) — every trained
-# model must be bitwise-identical to its clean run. The "distributed" label's
-# chaos subset (whole-node kill mid-round, all-devices-lost collective edges,
-# leader re-election) rides along via the shared chaos label routing below.
-# See src/sim/faults.h and DESIGN.md §9/§13.
-ctest --test-dir "$build" --output-on-failure -j "$(nproc)" -L chaos
-echo "check: chaos stage OK (fault-injection suite)"
-
-# Distributed stage: the multi-node topology suite (DESIGN.md §13). The fast
-# subset (per-mode bitwise identity, tie-break and traffic-accounting
-# regressions) plus the full thread x topology sweep and the node-kill
-# failover tests — all three distribution strategies must train the
-# bitwise-identical model to one device on every topology.
-ctest --test-dir "$build" --output-on-failure -j "$(nproc)" -L distributed
-echo "check: distributed stage OK (topology sweep + node-kill failover)"
 
 # Distributed crossover bench smoke at reduced scale: exits non-zero unless
 # every mode/bandwidth run is bitwise-identical to the single-device model
@@ -75,41 +65,24 @@ echo "check: bench_serve_load smoke OK (hot-swap with zero dropped requests)"
 GBMO_FUZZ_NAN_FRAC=0.15 GBMO_FUZZ_ITERS=10 "$build/tests/gbmo_fuzz"
 echo "check: NaN fuzz stage OK (GBMO_FUZZ_NAN_FRAC=0.15)"
 
-# Growth-policy & sampling fuzz stage: a longer differential run so the
-# leaf-wise / max_leaves / EFB / GOSS draws (see draw_case) all land multiple
-# times, each checked for 1-vs-4-thread bitwise equality and scalar-reference
-# agreement. DESIGN.md §11.
-GBMO_FUZZ_ITERS=24 "$build/tests/gbmo_fuzz"
-echo "check: growth/sampling fuzz stage OK (leaf-wise + EFB + GOSS draws)"
-
 # Bin-sweep bench smoke at reduced scale: exits non-zero unless leaf-wise
 # models >= level-wise seconds at an equal leaf budget on the dense workload
 # and EFB cuts histogram-phase time >= 2x vs the dense scan on the sparse one.
 "$build/bench/bench_bins" 2
 echo "check: bench_bins smoke OK (growth-policy + EFB acceptance shapes)"
 
-# Out-of-core stage: streaming-equivalence suite (sketch contract + budget
-# ladder, already in the full ctest run above, re-run here by name so a
-# regression is attributed to this stage) plus the budget-sweep bench at
-# reduced scale — exits non-zero unless every out-of-core model is
-# bitwise-identical to in-core and modeled time is monotone in the budget.
-# DESIGN.md §12.
-ctest --test-dir "$build" --output-on-failure -j "$(nproc)" \
-  -R 'Sketch|OutOfCore|MemoryLedger'
+# Out-of-core budget-sweep bench at reduced scale: exits non-zero unless
+# every out-of-core model is bitwise-identical to in-core and modeled time
+# is monotone in the budget. DESIGN.md §12.
 "$build/bench/bench_out_of_core" --rows 1024 --trees 8 --depth 5 \
   --chunk-rows 128
-echo "check: out-of-core stage OK (streaming equivalence + budget sweep)"
+echo "check: bench_out_of_core smoke OK (budget sweep)"
 
-# Workloads stage: categorical features + pairwise ranking (DESIGN.md §14).
-# The labeled ctest subset covers the ordered-statistics encoder property
-# tests, the hand-computed NDCG/LambdaRank fixtures, the golden-file
-# round-trips, the bitwise thread x topology x fault sweeps, and a fuzz
-# smoke that forces categorical columns on every draw while alternating the
-# ranking objective. The bench exits non-zero unless every distributed model
-# is bitwise-identical to one device and both quality gates hold.
-ctest --test-dir "$build" --output-on-failure -j "$(nproc)" -L workloads
+# Workloads bench smoke: categorical features + pairwise ranking (DESIGN.md
+# §14). Exits non-zero unless every distributed model is bitwise-identical
+# to one device and both quality gates hold.
 "$build/bench/bench_workloads" --rows 1200 --queries 120 --trees 8 --depth 4
-echo "check: workloads stage OK (categorical + ranking, bitwise + quality gates)"
+echo "check: bench_workloads smoke OK (categorical + ranking, bitwise + quality gates)"
 
 # Optional ThreadSanitizer stage for the parallel block scheduler and thread
 # pool (GBMO_CHECK_TSAN=0 skips; also skipped when the toolchain can't link

@@ -1,6 +1,9 @@
 // Training configuration. Defaults follow the paper's experimental setup
 // (§4.1): 100 trees, depth 7, learning rate 1, min 20 instances per node,
-// 256 bins.
+// 256 bins. Every field has a default member initializer, so a designated
+// initializer names only the fields that change:
+//
+//   TrainConfig cfg{.n_trees = 40, .max_depth = 6};
 #pragma once
 
 #include <cstdint>
@@ -81,7 +84,7 @@ struct TrainConfig {
   // for predict-time encoding. Indices must be unique, non-negative, and
   // within the dataset's feature count (checked at fit). Empty = all
   // features numeric (the historical behaviour, bit-for-bit).
-  std::vector<std::int32_t> cat_cols;
+  std::vector<std::int32_t> cat_cols{};
 
   // Gradient-based one-side sampling (GOSS): keep the goss_a fraction of
   // rows with the largest gradient norms, sample a goss_b fraction of the
@@ -142,7 +145,7 @@ struct TrainConfig {
   // "transient=0.01;seed=7" or "kill=1@120"). Empty = use whatever plan is
   // armed process-wide (--sim-faults / GBMO_SIM_FAULTS), if any. A non-empty
   // spec arms the plan for the duration of fit().
-  std::string faults;
+  std::string faults{};
 
   // --- out-of-core streaming (DESIGN.md §12) -------------------------------
   // Device-memory budget for the bin-packed feature-block cache, in MiB
@@ -176,87 +179,8 @@ struct TrainConfig {
   // fit() first loads that file if present and continues from the recorded
   // tree; the final model is bitwise-identical to an uninterrupted run.
   int checkpoint_every = 0;
-  std::string checkpoint_path;
+  std::string checkpoint_path{};
   bool resume = false;
-
-  // --- fluent builder ------------------------------------------------------
-  // Chainable setters so configurations read declaratively:
-  //
-  //   auto cfg = TrainConfig::defaults().trees(100).depth(7)
-  //                  .hist(HistMethod::kShared).devices(2);
-  //
-  // Plain aggregate use (`TrainConfig cfg; cfg.n_trees = 40;`) keeps working —
-  // the setters are sugar over the same public fields.
-  static TrainConfig defaults() { return TrainConfig{}; }
-
-  TrainConfig& trees(int n) { n_trees = n; return *this; }
-  TrainConfig& depth(int levels) { max_depth = levels; return *this; }
-  TrainConfig& eta(float lr) { learning_rate = lr; return *this; }
-  TrainConfig& min_instances(int n) { min_instances_per_node = n; return *this; }
-  TrainConfig& bins(int n) { max_bins = n; return *this; }
-  TrainConfig& l2(float lambda) { lambda_l2 = lambda; return *this; }
-  TrainConfig& min_gain(float gamma) { min_split_gain = gamma; return *this; }
-  TrainConfig& hist(HistMethod m) { hist_method = m; return *this; }
-  TrainConfig& warp_optimized(bool on = true) { warp_opt = on; return *this; }
-  TrainConfig& sparse_aware(bool on = true) { sparsity_aware = on; return *this; }
-  TrainConfig& csc_sweep(bool on = true) { csc_level_sweep = on; return *this; }
-  TrainConfig& subtraction(bool on = true) { sibling_subtraction = on; return *this; }
-  TrainConfig& growth_policy(GrowthPolicy p) { growth = p; return *this; }
-  TrainConfig& leaves(int n) { max_leaves = n; return *this; }
-  TrainConfig& feature_bundling(bool on = true) { efb = on; return *this; }
-  TrainConfig& categorical_columns(std::vector<std::int32_t> cols) {
-    cat_cols = std::move(cols);
-    return *this;
-  }
-  TrainConfig& goss(double a, double b) {
-    goss_a = a;
-    goss_b = b;
-    return *this;
-  }
-  TrainConfig& hist_budget(int mb) { hist_budget_mb = mb; return *this; }
-  TrainConfig& device_budget_mb(int mb) { max_device_mb = mb; return *this; }
-  TrainConfig& device_budget(std::uint64_t bytes) {
-    device_budget_bytes = bytes;
-    return *this;
-  }
-  TrainConfig& chunk_rows(int rows) { stream_chunk_rows = rows; return *this; }
-  TrainConfig& devices(int n, MultiGpuMode mode = MultiGpuMode::kFeatureParallel) {
-    n_devices = n;
-    multi_gpu = mode;
-    return *this;
-  }
-  TrainConfig& nodes(int n) { n_nodes = n; return *this; }
-  TrainConfig& voting(int k) { voting_k = k; return *this; }
-  TrainConfig& inter_link(double gbps, double latency_us) {
-    inter_gbps = gbps;
-    inter_latency_us = latency_us;
-    return *this;
-  }
-  TrainConfig& host_threads(int n) { sim_threads = n; return *this; }
-  TrainConfig& check(bool on = true) { sim_check = on; return *this; }
-  TrainConfig& row_subsample(double fraction) { subsample = fraction; return *this; }
-  TrainConfig& feature_subsample(double fraction) {
-    colsample_bytree = fraction;
-    return *this;
-  }
-  TrainConfig& early_stopping(int rounds) {
-    early_stopping_rounds = rounds;
-    return *this;
-  }
-  TrainConfig& rng_seed(std::uint64_t s) { seed = s; return *this; }
-  TrainConfig& fault_plan(std::string spec) {
-    faults = std::move(spec);
-    return *this;
-  }
-  TrainConfig& checkpoint(std::string path, int every_n_trees) {
-    checkpoint_path = std::move(path);
-    checkpoint_every = every_n_trees;
-    return *this;
-  }
-  TrainConfig& resume_from_checkpoint(bool on = true) {
-    resume = on;
-    return *this;
-  }
 };
 
 // Validates user-facing fields (bin budget, tree shape, sampling fractions,

@@ -21,28 +21,6 @@ GrowerContext GrowerContext::create(const data::BinnedMatrix& bins,
   ctx.hist_pool_budget = static_cast<std::size_t>(
                              std::max(1, config.hist_budget_mb))
                          << 20;
-
-  const int k = std::max(1, config.n_devices);
-  const std::size_t m = bins.n_cols();
-  ctx.device_features.resize(static_cast<std::size_t>(k));
-  // Contiguous feature chunks (better transfer locality than round-robin).
-  const std::size_t chunk = (m + static_cast<std::size_t>(k) - 1) / static_cast<std::size_t>(k);
-  for (int i = 0; i < k; ++i) {
-    const std::size_t lo = static_cast<std::size_t>(i) * chunk;
-    const std::size_t hi = std::min(m, lo + chunk);
-    for (std::size_t f = lo; f < hi; ++f) {
-      ctx.device_features[static_cast<std::size_t>(i)].push_back(
-          static_cast<std::uint32_t>(f));
-    }
-  }
-
-  const std::size_t n = bins.n_rows();
-  ctx.device_row_bounds.resize(static_cast<std::size_t>(k) + 1);
-  for (int i = 0; i <= k; ++i) {
-    ctx.device_row_bounds[static_cast<std::size_t>(i)] =
-        static_cast<std::uint32_t>(n * static_cast<std::size_t>(i) /
-                                   static_cast<std::size_t>(k));
-  }
   return ctx;
 }
 
@@ -63,39 +41,19 @@ void GrowerContext::apply_bundling(const data::FeatureBundling& plan,
     zeros.push_back(0);  // bundled bin 0 = all members at their default
   }
   bundle_layout = HistogramLayout(bin_counts, zeros, layout.n_outputs());
-
-  // Repartition the device columns bundle-aligned: the device that owns a
-  // bundled histogram column must also own all its member features, so the
-  // expanded histogram slots it writes are exactly the slots it would have
-  // owned without bundling.
-  const std::size_t k = device_features.size();
-  const std::size_t nb = plan.bundles.size();
-  device_bundles.assign(k, {});
-  for (auto& df : device_features) df.clear();
-  const std::size_t chunk = (nb + k - 1) / k;
-  for (std::size_t i = 0; i < k; ++i) {
-    const std::size_t lo = i * chunk;
-    const std::size_t hi = std::min(nb, lo + chunk);
-    for (std::size_t bi = lo; bi < hi; ++bi) {
-      device_bundles[i].push_back(static_cast<std::uint32_t>(bi));
-      for (std::uint32_t f : plan.bundles[bi].features) {
-        device_features[i].push_back(f);
-      }
-    }
-    std::sort(device_features[i].begin(), device_features[i].end());
-  }
 }
 
 TreeGrower::TreeGrower(sim::DeviceGroup& group, const GrowerContext& ctx)
-    : group_(group), ctx_(ctx), builder_(make_builder(ctx.config.hist_method)) {
+    : group_(group),
+      ctx_(ctx),
+      builder_(make_builder(ctx.config.hist_method)),
+      row_partitioned_(group.size() > 1 && ctx.config.multi_gpu !=
+                                               MultiGpuMode::kFeatureParallel) {
   GBMO_CHECK(group.size() == std::max(1, ctx.config.n_devices));
   all_features_.resize(ctx.bins->n_cols());
   std::iota(all_features_.begin(), all_features_.end(), 0u);
-  device_features_ = ctx.device_features;
-  device_bundles_ = ctx.device_bundles;
-  device_row_bounds_ = ctx.device_row_bounds;
-  if (group.size() > 1 &&
-      ctx.config.multi_gpu != MultiGpuMode::kFeatureParallel) {
+  redistribute_over_alive();
+  if (row_partitioned_) {
     // Row-partitioned modes build the functional histogram on an off-group
     // ghost device (see the member comment). Its id sits past every real
     // device so scripted fault plans targeting 0..k-1 never hit it.
@@ -162,91 +120,109 @@ void TreeGrower::redistribute_over_alive() {
   for (int i = 0; i < group_.size(); ++i) {
     if (!group_.is_lost(i)) alive.push_back(i);
   }
-  GBMO_CHECK(!alive.empty()) << "device-loss failover with no survivors";
-  // Row shards: the survivors re-partition the full row range evenly; lost
+  GBMO_CHECK(!alive.empty()) << "no live device to partition over";
+  const auto k = static_cast<std::size_t>(group_.size());
+  // Row shards: the survivors partition the full row range evenly; lost
   // devices keep zero-width ranges so the upper_bound owner lookup in the
-  // histogram builds still lands on a live device.
-  {
-    const std::size_t n = ctx_.bins->n_rows();
-    device_row_bounds_.assign(static_cast<std::size_t>(group_.size()) + 1, 0);
-    std::size_t rank = 0;
-    for (int i = 0; i < group_.size(); ++i) {
-      if (!group_.is_lost(i)) ++rank;
-      device_row_bounds_[static_cast<std::size_t>(i) + 1] =
-          static_cast<std::uint32_t>(n * rank / alive.size());
-    }
+  // histogram build still lands on a live device.
+  const std::size_t n = ctx_.bins->n_rows();
+  device_row_bounds_.assign(k + 1, 0);
+  std::size_t rank = 0;
+  for (std::size_t i = 0; i < k; ++i) {
+    if (!group_.is_lost(static_cast<int>(i))) ++rank;
+    device_row_bounds_[i + 1] =
+        static_cast<std::uint32_t>(n * rank / alive.size());
   }
-  for (auto& df : device_features_) df.clear();
-  if (ctx_.bundling != nullptr) {
-    // Bundle-aligned repartition over the survivors (same rule as
-    // GrowerContext::apply_bundling).
-    const std::size_t nb = ctx_.bundling->bundles.size();
-    for (auto& db : device_bundles_) db.clear();
-    const std::size_t chunk = (nb + alive.size() - 1) / alive.size();
-    for (std::size_t a = 0; a < alive.size(); ++a) {
-      const std::size_t lo = a * chunk;
-      const std::size_t hi = std::min(nb, lo + chunk);
-      auto& db = device_bundles_[static_cast<std::size_t>(alive[a])];
-      auto& df = device_features_[static_cast<std::size_t>(alive[a])];
-      for (std::size_t bi = lo; bi < hi; ++bi) {
-        db.push_back(static_cast<std::uint32_t>(bi));
-        for (std::uint32_t f : ctx_.bundling->bundles[bi].features) {
-          df.push_back(f);
-        }
-      }
-      std::sort(df.begin(), df.end());
-    }
-    return;
-  }
-  const std::size_t m = ctx_.bins->n_cols();
-  // Same contiguous-chunk rule as GrowerContext::create, over the survivors.
-  const std::size_t chunk = (m + alive.size() - 1) / alive.size();
+  // Columns: contiguous chunks over the survivors (better transfer locality
+  // than round-robin). Under EFB the chunks are of bundles, and a bundle's
+  // member features go with it: the device that accumulates a bundled column
+  // then owns exactly the expanded slots it writes.
+  device_features_.assign(k, {});
+  device_bundles_.assign(k, {});
+  const bool bundled = ctx_.bundling != nullptr;
+  const std::size_t n_cols =
+      bundled ? ctx_.bundling->bundles.size() : ctx_.bins->n_cols();
+  const std::size_t chunk = (n_cols + alive.size() - 1) / alive.size();
   for (std::size_t a = 0; a < alive.size(); ++a) {
-    const std::size_t lo = a * chunk;
-    const std::size_t hi = std::min(m, lo + chunk);
-    auto& df = device_features_[static_cast<std::size_t>(alive[a])];
-    for (std::size_t f = lo; f < hi; ++f) {
-      df.push_back(static_cast<std::uint32_t>(f));
+    const auto dev = static_cast<std::size_t>(alive[a]);
+    auto& df = device_features_[dev];
+    for (std::size_t c = a * chunk; c < std::min(n_cols, (a + 1) * chunk); ++c) {
+      if (!bundled) {
+        df.push_back(static_cast<std::uint32_t>(c));
+        continue;
+      }
+      device_bundles_[dev].push_back(static_cast<std::uint32_t>(c));
+      const auto& members = ctx_.bundling->bundles[c].features;
+      df.insert(df.end(), members.begin(), members.end());
     }
+    std::sort(df.begin(), df.end());
   }
 }
 
 void TreeGrower::build_node_histogram(const ActiveNode& node, NodeHistogram& out,
                                       std::span<const float> g,
                                       std::span<const float> h) {
-  if (ctx_.bundling != nullptr) {
-    build_node_histogram_bundled(node, out, g, h);
-    return;
-  }
   const auto& cfg = ctx_.config;
-  // Row span of this node in the (grow-local) row order is provided via the
-  // totals/slice captured below by the caller; histogram input row list is
-  // stored on the node by the caller through node_rows_.
+  const bool bundled = ctx_.bundling != nullptr;
   HistBuildInput in;
-  in.bins = ctx_.bins;
   in.g = g;
   in.h = h;
-  in.layout = &ctx_.layout;
-  in.packed = cfg.warp_opt && ctx_.bins->packed();
-  in.sparsity_aware = cfg.sparsity_aware;
-  in.csc_indirection = cfg.csc_storage;
   in.node_totals = node.totals;
   in.node_count = node.count();
   in.node_rows = node_rows_;
+  if (bundled) {
+    in.bins = ctx_.bundled_bins;
+    in.layout = &ctx_.bundle_layout;
+    // The bundled matrix is a plain dense column-major array; warp packing
+    // and CSC indirection describe the original storage, not this one.
+    in.packed = false;
+    // Bundled bin 0 (zero_bin of every bundle) is the shared all-default
+    // bin: skipping it is exactly the §3.2 sparsity optimization, and the
+    // per-member zero bins are reconstructed from the node totals during
+    // expansion.
+    in.sparsity_aware = true;
+    in.csc_indirection = false;
+    if (bundle_scratch_.sums.size() != ctx_.bundle_layout.size()) {
+      bundle_scratch_.resize(ctx_.bundle_layout);
+    }
+  } else {
+    in.bins = ctx_.bins;
+    in.layout = &ctx_.layout;
+    in.packed = cfg.warp_opt && ctx_.bins->packed();
+    in.sparsity_aware = cfg.sparsity_aware;
+    in.csc_indirection = cfg.csc_storage;
+  }
+  // One build step over `cin.features` (features, or EFB bundles). Under
+  // EFB it accumulates into the bundled scratch and expands into `dst`'s
+  // original-layout slots (zero bins reconstructed from `cin`'s totals).
+  const auto build = [&](sim::Device& dev, const HistBuildInput& cin,
+                         NodeHistogram& dst) {
+    if (!bundled) {
+      builder_->build(dev, cin, dst);
+      return;
+    }
+    builder_->build(dev, cin, bundle_scratch_);
+    expand_bundled_histogram(dev, *ctx_.bundling, ctx_.bundle_layout,
+                             ctx_.layout, cin.features, bundle_scratch_,
+                             cin.node_totals, cin.node_count, dst);
+  };
 
-  if (group_.size() == 1 || cfg.multi_gpu == MultiGpuMode::kFeatureParallel) {
-    // Feature-parallel: each device accumulates its own feature columns into
-    // disjoint slots of the shared histogram.
+  if (!row_partitioned_) {
+    // Feature-parallel: each device accumulates its own columns into
+    // disjoint slots of the shared histogram (bundle-aligned partitioning
+    // keeps the expanded slots disjoint too).
     for (int i = 0; i < group_.size(); ++i) {
-      const auto& feats = grow_device_features_[static_cast<std::size_t>(i)];
-      if (feats.empty()) continue;
+      const auto dev = static_cast<std::size_t>(i);
+      const auto& cols =
+          bundled ? grow_device_bundles_[dev] : grow_device_features_[dev];
+      if (cols.empty()) continue;
       // Out-of-core: page this device's columns (restricted to the node's
       // rows — GOSS-sampled nodes touch fewer tiles) before the build reads
-      // them.
-      stage_blocks(i, feats, node_rows_);
+      // them. Bundled columns are device-resident.
+      if (!bundled) stage_blocks(i, cols, node_rows_);
       HistBuildInput dev_in = in;
-      dev_in.features = feats;
-      builder_->build(group_.device(i), dev_in, out);
+      dev_in.features = cols;
+      build(group_.device(i), dev_in, out);
     }
     return;
   }
@@ -260,8 +236,10 @@ void TreeGrower::build_node_histogram(const ActiveNode& node, NodeHistogram& out
   // float non-associativity in the partial merge.
   const bool voting = cfg.multi_gpu == MultiGpuMode::kVotingParallel;
   if (voting) vote_tally_.assign(ctx_.bins->n_cols(), 0u);
-  const int k = group_.size();
-  std::vector<std::vector<std::uint32_t>> dev_rows(static_cast<std::size_t>(k));
+  const auto& cols = bundled ? grow_bundles_ : grow_features_;
+  const int d = ctx_.layout.n_outputs();
+  std::vector<std::vector<std::uint32_t>> dev_rows(
+      static_cast<std::size_t>(group_.size()));
   for (std::uint32_t r : node_rows_) {
     // Row ownership by original id range (live bounds: zero-width for lost).
     const auto it = std::upper_bound(device_row_bounds_.begin(),
@@ -269,25 +247,25 @@ void TreeGrower::build_node_histogram(const ActiveNode& node, NodeHistogram& out
     const int owner = static_cast<int>(it - device_row_bounds_.begin()) - 1;
     dev_rows[static_cast<std::size_t>(owner)].push_back(r);
   }
-  for (int i = 0; i < k; ++i) {
+  if (part_scratch_.sums.size() != ctx_.layout.size()) {
+    part_scratch_.resize(ctx_.layout);
+  }
+  for (int i = 0; i < group_.size(); ++i) {
     if (group_.is_lost(i)) continue;
-    // Out-of-core: each device pages every feature column, but only the
-    // tiles covering its own row partition.
-    stage_blocks(i, grow_features_, dev_rows[static_cast<std::size_t>(i)]);
+    const auto& rows = dev_rows[static_cast<std::size_t>(i)];
+    // Out-of-core: each device pages every column, but only the tiles
+    // covering its own row partition.
+    if (!bundled) stage_blocks(i, cols, rows);
     HistBuildInput dev_in = in;
-    dev_in.features = grow_features_;
-    dev_in.node_rows = dev_rows[static_cast<std::size_t>(i)];
-    dev_in.node_count = static_cast<std::uint32_t>(dev_rows[static_cast<std::size_t>(i)].size());
+    dev_in.features = cols;
+    dev_in.node_rows = rows;
+    dev_in.node_count = static_cast<std::uint32_t>(rows.size());
     // Per-device totals for this device's row subset (needed by the zero-bin
     // reconstruction; the per-device reconstructions sum to the global one).
-    std::vector<sim::GradPair> dev_totals(static_cast<std::size_t>(ctx_.layout.n_outputs()));
-    reduce_gradients(group_.device(i), g, h, dev_in.node_rows,
-                     ctx_.layout.n_outputs(), dev_totals);
+    std::vector<sim::GradPair> dev_totals(static_cast<std::size_t>(d));
+    reduce_gradients(group_.device(i), g, h, rows, d, dev_totals);
     dev_in.node_totals = dev_totals;
-    if (part_scratch_.sums.size() != ctx_.layout.size()) {
-      part_scratch_.resize(ctx_.layout);
-    }
-    builder_->build(group_.device(i), dev_in, part_scratch_);
+    build(group_.device(i), dev_in, part_scratch_);
     if (voting) {
       accumulate_local_votes(group_.device(i), part_scratch_, dev_totals,
                              dev_in.node_count);
@@ -298,101 +276,8 @@ void TreeGrower::build_node_histogram(const ActiveNode& node, NodeHistogram& out
   // the group's books and the profiler).
   GBMO_CHECK(ghost_ != nullptr) << "row-partitioned build without a ghost";
   HistBuildInput ghost_in = in;
-  ghost_in.features = grow_features_;
-  builder_->build(*ghost_, ghost_in, out);
-  charge_histogram_exchange(node, out);
-}
-
-void TreeGrower::build_node_histogram_bundled(const ActiveNode& node,
-                                              NodeHistogram& out,
-                                              std::span<const float> g,
-                                              std::span<const float> h) {
-  const auto& cfg = ctx_.config;
-  HistBuildInput in;
-  in.bins = ctx_.bundled_bins;
-  in.g = g;
-  in.h = h;
-  in.layout = &ctx_.bundle_layout;
-  // The bundled matrix is a plain dense column-major array; warp packing and
-  // CSC indirection describe the original storage, not this one.
-  in.packed = false;
-  // Bundled bin 0 (zero_bin of every bundle) is the shared all-default bin:
-  // skipping it is exactly the §3.2 sparsity optimization, and the per-member
-  // zero bins are reconstructed from the node totals during expansion.
-  in.sparsity_aware = true;
-  in.csc_indirection = false;
-  in.node_totals = node.totals;
-  in.node_count = node.count();
-  in.node_rows = node_rows_;
-
-  if (bundle_scratch_.sums.size() != ctx_.bundle_layout.size()) {
-    bundle_scratch_.resize(ctx_.bundle_layout);
-  }
-
-  if (group_.size() == 1 || cfg.multi_gpu == MultiGpuMode::kFeatureParallel) {
-    // Feature-parallel: each device accumulates its bundle columns into
-    // disjoint slots of the shared bundled scratch, then expands them into
-    // the original-layout slots it owns (bundle-aligned partitioning
-    // guarantees those are disjoint too).
-    for (int i = 0; i < group_.size(); ++i) {
-      const auto& bundles = grow_device_bundles_[static_cast<std::size_t>(i)];
-      if (bundles.empty()) continue;
-      HistBuildInput dev_in = in;
-      dev_in.features = bundles;
-      builder_->build(group_.device(i), dev_in, bundle_scratch_);
-      expand_bundled_histogram(group_.device(i), *ctx_.bundling,
-                               ctx_.bundle_layout, ctx_.layout, bundles,
-                               bundle_scratch_, node.totals, node.count(), out);
-    }
-    return;
-  }
-
-  // Row-partitioned modes: every live device builds a bundled partial from
-  // its own rows and expands it locally (per-device totals drive the
-  // zero-bin reconstruction) — cost and votes only — while the ghost device
-  // repeats the exact single-device bundled build + expansion to produce the
-  // functional histogram. See build_node_histogram for the doctrine.
-  const bool voting = cfg.multi_gpu == MultiGpuMode::kVotingParallel;
-  if (voting) vote_tally_.assign(ctx_.bins->n_cols(), 0u);
-  const int k = group_.size();
-  const int d = ctx_.layout.n_outputs();
-  std::vector<std::vector<std::uint32_t>> dev_rows(static_cast<std::size_t>(k));
-  for (std::uint32_t r : node_rows_) {
-    const auto it = std::upper_bound(device_row_bounds_.begin(),
-                                     device_row_bounds_.end(), r);
-    const int owner = static_cast<int>(it - device_row_bounds_.begin()) - 1;
-    dev_rows[static_cast<std::size_t>(owner)].push_back(r);
-  }
-  for (int i = 0; i < k; ++i) {
-    if (group_.is_lost(i)) continue;
-    HistBuildInput dev_in = in;
-    dev_in.features = grow_bundles_;
-    dev_in.node_rows = dev_rows[static_cast<std::size_t>(i)];
-    dev_in.node_count =
-        static_cast<std::uint32_t>(dev_rows[static_cast<std::size_t>(i)].size());
-    std::vector<sim::GradPair> dev_totals(static_cast<std::size_t>(d));
-    reduce_gradients(group_.device(i), g, h, dev_in.node_rows, d, dev_totals);
-    dev_in.node_totals = dev_totals;
-    builder_->build(group_.device(i), dev_in, bundle_scratch_);
-    if (part_scratch_.sums.size() != ctx_.layout.size()) {
-      part_scratch_.resize(ctx_.layout);
-    }
-    expand_bundled_histogram(group_.device(i), *ctx_.bundling,
-                             ctx_.bundle_layout, ctx_.layout, grow_bundles_,
-                             bundle_scratch_, dev_totals, dev_in.node_count,
-                             part_scratch_);
-    if (voting) {
-      accumulate_local_votes(group_.device(i), part_scratch_, dev_totals,
-                             dev_in.node_count);
-    }
-  }
-  GBMO_CHECK(ghost_ != nullptr) << "row-partitioned build without a ghost";
-  HistBuildInput ghost_in = in;
-  ghost_in.features = grow_bundles_;
-  builder_->build(*ghost_, ghost_in, bundle_scratch_);
-  expand_bundled_histogram(*ghost_, *ctx_.bundling, ctx_.bundle_layout,
-                           ctx_.layout, grow_bundles_, bundle_scratch_,
-                           node.totals, node.count(), out);
+  ghost_in.features = cols;
+  build(*ghost_, ghost_in, out);
   charge_histogram_exchange(node, out);
 }
 
@@ -515,9 +400,8 @@ void TreeGrower::charge_histogram_exchange(const ActiveNode& node,
   const std::size_t sum_bytes = out.sums.size() * sizeof(sim::GradPair);
   const std::size_t count_bytes = out.counts.size() * sizeof(std::uint32_t);
   if (ctx_.config.multi_gpu == MultiGpuMode::kDataParallel) {
-    // Same cadence (and, for flat single-node groups, the same modeled cost
-    // bit-for-bit) as the historical all_reduce_sum / all_reduce_sum_u32
-    // pair over the full histogram.
+    // Two ring all-reduces over the full histogram: the float sums, then
+    // the u32 counts.
     group_.charge_all_reduce("ring_all_reduce", sum_bytes);
     group_.charge_all_reduce("ring_all_reduce", count_bytes);
     return;
@@ -585,7 +469,7 @@ std::vector<SplitResult> TreeGrower::select_splits(
                             grow_features_, cfg, split_scratch_);
   }
 
-  if (cfg.multi_gpu != MultiGpuMode::kFeatureParallel) {
+  if (row_partitioned_) {
     // Row-partitioned modes: histograms are replicated after the exchange,
     // so every live device evaluates the full feature set (replicated
     // compute beats another exchange). The results are identical; keep the
@@ -684,8 +568,7 @@ void TreeGrower::flush_leaf_charges() {
 void TreeGrower::subtract_node_histograms(const NodeHistogram& parent,
                                           const NodeHistogram& smaller,
                                           NodeHistogram& larger) {
-  const auto& cfg = ctx_.config;
-  if (group_.size() > 1 && cfg.multi_gpu != MultiGpuMode::kFeatureParallel) {
+  if (row_partitioned_) {
     // Replicated histograms: one live device derives the sibling (the old
     // break-after-device-0 skipped the subtraction entirely — leaving the
     // derived histogram zero — whenever device 0 happened to be the lost
@@ -712,8 +595,7 @@ void TreeGrower::reduce_node_totals(std::span<const float> g,
                                     std::span<const std::uint32_t> rows,
                                     std::vector<sim::GradPair>& totals) {
   const int d = ctx_.layout.n_outputs();
-  if (group_.size() > 1 &&
-      ctx_.config.multi_gpu != MultiGpuMode::kFeatureParallel) {
+  if (row_partitioned_) {
     // One live device reduces for everyone (the old break-after-device-0
     // left the totals at zero whenever device 0 was the lost one — every
     // downstream gain then silently used an empty parent).
@@ -729,19 +611,19 @@ void TreeGrower::reduce_node_totals(std::span<const float> g,
   }
 }
 
-std::uint32_t TreeGrower::partition_node(const ActiveNode& a,
+std::uint32_t TreeGrower::partition_rows(const ActiveNode& a,
                                          const SplitResult& s,
                                          std::vector<std::uint32_t>& row_order) {
+  group_.set_phase("partition");
+  const auto node_rows =
+      std::span<const std::uint32_t>(row_order).subspan(a.begin, a.count());
   // Split features are always original feature ids (EFB never leaks bundles
   // past histogram construction), so the partition reads the original bins.
-  // Out-of-core: the partition kernel reads the split feature's bins for the
-  // node's rows on the charging device.
-  {
-    const int fa = group_.first_alive();
-    stage_block(fa < 0 ? 0 : fa, static_cast<std::uint32_t>(s.feature),
-                std::span<const std::uint32_t>(row_order).subspan(
-                    a.begin, a.count()));
-  }
+  // Out-of-core: page the split feature's tiles for this node's rows on the
+  // charging device.
+  const int fa = group_.first_alive();
+  stage_block(fa < 0 ? 0 : fa, static_cast<std::uint32_t>(s.feature),
+              node_rows);
   const auto col = ctx_.bins->col(static_cast<std::size_t>(s.feature));
   const auto split_bin = static_cast<std::uint8_t>(s.bin);
   const auto begin_it = row_order.begin() + a.begin;
@@ -752,21 +634,61 @@ std::uint32_t TreeGrower::partition_node(const ActiveNode& a,
       a.begin + static_cast<std::uint32_t>(mid_it - begin_it);
   GBMO_CHECK(mid - a.begin == s.n_left)
       << "partition count mismatch on feature " << s.feature;
-
-  sim::KernelStats st;
-  st.gmem_random_accesses = a.count();
-  st.gmem_coalesced_bytes =
-      static_cast<std::uint64_t>(a.count()) * 2 * sizeof(std::uint32_t);
-  st.blocks = std::max<std::uint64_t>(1, a.count() / 256);
-  sim::charge_kernel(charge_device(), "partition_rows", st);
-  if (group_.size() > 1 &&
-      ctx_.config.multi_gpu == MultiGpuMode::kFeatureParallel) {
-    // The split owner broadcasts this node's left/right bitmap. Leaf-wise
-    // pays this per split (vs once per level) — the extra synchronization
-    // the growth-policy benchmark measures.
-    group_.charge_broadcast(a.count() / 8 + 1, 0);
-  }
   return mid;
+}
+
+void TreeGrower::charge_partition(std::uint64_t rows) {
+  group_.set_phase("partition");
+  // Read the split feature's bins and rewrite the row range.
+  sim::KernelStats st;
+  st.gmem_random_accesses = rows;
+  st.gmem_coalesced_bytes = rows * 2 * sizeof(std::uint32_t);
+  st.blocks = std::max<std::uint64_t>(1, rows / 256);
+  sim::charge_kernel(charge_device(), "partition_rows", st);
+  if (group_.size() > 1 && !row_partitioned_) {
+    // The split owners broadcast the partitioned nodes' left/right bitmaps.
+    group_.charge_broadcast(rows / 8 + 1, 0);
+  }
+}
+
+std::pair<TreeGrower::ActiveNode, TreeGrower::ActiveNode>
+TreeGrower::split_children(Tree& tree, const ActiveNode& a,
+                           const SplitResult& s, std::uint32_t mid, int depth,
+                           std::span<const float> g, std::span<const float> h,
+                           std::span<const std::uint32_t> row_order) {
+  const int d = ctx_.layout.n_outputs();
+  const auto [left_id, right_id] = tree.split_node(
+      a.tree_node, s.feature, s.bin,
+      ctx_.cuts->threshold_for(static_cast<std::size_t>(s.feature), s.bin),
+      s.gain, s.n_left, s.n_right, depth);
+
+  const bool left_smaller = s.n_left <= s.n_right;
+  ActiveNode small, large;
+  small.tree_node = left_smaller ? left_id : right_id;
+  small.begin = left_smaller ? a.begin : mid;
+  small.end = left_smaller ? mid : a.end;
+  large.tree_node = left_smaller ? right_id : left_id;
+  large.begin = left_smaller ? mid : a.begin;
+  large.end = left_smaller ? a.end : mid;
+  small.parent = large.parent = a.tree_node;
+  small.sibling = large.tree_node;
+  large.sibling = small.tree_node;
+  small.is_smaller = true;
+  large.is_smaller = false;
+
+  // Child totals: the smaller child is reduced directly, the larger one is
+  // the parent minus the smaller (one cheap vector op). The reductions feed
+  // the children's zero-bin reconstruction.
+  group_.set_phase("histogram");
+  small.totals.assign(static_cast<std::size_t>(d), sim::GradPair{});
+  reduce_node_totals(g, h, row_order.subspan(small.begin, small.count()),
+                     small.totals);
+  large.totals.resize(static_cast<std::size_t>(d));
+  for (std::size_t k = 0; k < large.totals.size(); ++k) {
+    large.totals[k] = sim::GradPair{a.totals[k].g - small.totals[k].g,
+                                    a.totals[k].h - small.totals[k].h};
+  }
+  return {std::move(small), std::move(large)};
 }
 
 GrownTree TreeGrower::grow(std::span<const float> g, std::span<const float> h,
@@ -883,7 +805,6 @@ void TreeGrower::grow_level_wise(std::span<const float> g,
                                  Tree& tree, GrownTree& out,
                                  ActiveNode&& root) {
   const std::size_t n = ctx_.bins->n_rows();
-  const int d = ctx_.layout.n_outputs();
   const auto& cfg = ctx_.config;
 
   std::vector<ActiveNode> active;
@@ -933,7 +854,7 @@ void TreeGrower::grow_level_wise(std::span<const float> g,
       // otherwise each node streams its dense rows.
       const bool use_csc_sweep =
           ctx_.csc != nullptr && cfg.csc_level_sweep && !ctx_.bundling &&
-          (group_.size() == 1 || cfg.multi_gpu == MultiGpuMode::kFeatureParallel);
+          !row_partitioned_;
       if (use_csc_sweep && !direct_nodes.empty()) {
         std::vector<std::int32_t> node_slot(n, -1);
         std::vector<LevelNodeInput> inputs(direct_nodes.size());
@@ -1036,10 +957,8 @@ void TreeGrower::grow_level_wise(std::span<const float> g,
     }
 
     // Apply splits: partition rows, create children, route them. The
-    // partition kernel covers the whole level in one launch; its stats are
-    // accumulated across nodes and charged once.
-    sim::KernelStats level_partition_stats;
-    std::size_t level_partition_rows = 0;
+    // partition kernel covers the whole level in one launch, charged once.
+    std::uint64_t level_partition_rows = 0;
     std::vector<ActiveNode> next;
     for (std::size_t i = 0; i < active.size(); ++i) {
       ActiveNode& a = active[i];
@@ -1048,71 +967,10 @@ void TreeGrower::grow_level_wise(std::span<const float> g,
         compute_leaf(tree, a, row_order, out.leaf_of_row);
         continue;
       }
-
-      group_.set_phase("partition");
-      {
-        // Out-of-core: page the split feature's tiles for this node's rows.
-        const int fa = group_.first_alive();
-        stage_block(fa < 0 ? 0 : fa, static_cast<std::uint32_t>(s.feature),
-                    std::span<const std::uint32_t>(row_order).subspan(
-                        a.begin, a.count()));
-      }
-      const auto col = ctx_.bins->col(static_cast<std::size_t>(s.feature));
-      const auto split_bin = static_cast<std::uint8_t>(s.bin);
-      const auto begin_it = row_order.begin() + a.begin;
-      const auto end_it = row_order.begin() + a.end;
-      const auto mid_it = std::stable_partition(
-          begin_it, end_it, [&](std::uint32_t r) { return col[r] <= split_bin; });
-      const std::uint32_t mid =
-          a.begin + static_cast<std::uint32_t>(mid_it - begin_it);
-      GBMO_CHECK(mid - a.begin == s.n_left)
-          << "partition count mismatch on feature " << s.feature;
-
-      // Partition: read split-feature bins + rewrite the row range
-      // (accumulated into the level-wide kernel charge below).
-      level_partition_stats.gmem_random_accesses += a.count();
-      level_partition_stats.gmem_coalesced_bytes +=
-          static_cast<std::uint64_t>(a.count()) * 2 * sizeof(std::uint32_t);
+      const std::uint32_t mid = partition_rows(a, s, row_order);
       level_partition_rows += a.count();
-
-      const auto [left_id, right_id] = tree.split_node(
-          a.tree_node, s.feature, s.bin,
-          ctx_.cuts->threshold_for(static_cast<std::size_t>(s.feature), s.bin),
-          s.gain, s.n_left, s.n_right, level + 1);
-
-      // Child totals: the smaller child is reduced directly, the larger one
-      // is the parent minus the smaller (one cheap vector op).
-      const bool left_smaller = s.n_left <= s.n_right;
-      ActiveNode small_child, large_child;
-      small_child.tree_node = left_smaller ? left_id : right_id;
-      small_child.begin = left_smaller ? a.begin : mid;
-      small_child.end = left_smaller ? mid : a.end;
-      large_child.tree_node = left_smaller ? right_id : left_id;
-      large_child.begin = left_smaller ? mid : a.begin;
-      large_child.end = left_smaller ? a.end : mid;
-
-      group_.set_phase("histogram");  // node-total reductions feed the
-                                      // next level's zero-bin reconstruction
-      small_child.totals.assign(static_cast<std::size_t>(d), sim::GradPair{});
-      const auto small_rows = std::span<const std::uint32_t>(row_order).subspan(
-          small_child.begin, small_child.count());
-      reduce_node_totals(g, h, small_rows, small_child.totals);
-      large_child.totals.resize(static_cast<std::size_t>(d));
-      for (int k = 0; k < d; ++k) {
-        large_child.totals[static_cast<std::size_t>(k)] = sim::GradPair{
-            a.totals[static_cast<std::size_t>(k)].g -
-                small_child.totals[static_cast<std::size_t>(k)].g,
-            a.totals[static_cast<std::size_t>(k)].h -
-                small_child.totals[static_cast<std::size_t>(k)].h};
-      }
-
-      small_child.parent = a.tree_node;
-      large_child.parent = a.tree_node;
-      small_child.sibling = large_child.tree_node;
-      large_child.sibling = small_child.tree_node;
-      small_child.is_smaller = true;
-      large_child.is_smaller = false;
-
+      auto [small_child, large_child] =
+          split_children(tree, a, s, mid, level + 1, g, h, row_order);
       auto route = [&](ActiveNode&& c) {
         if (level + 1 < cfg.max_depth &&
             c.count() >= 2 * static_cast<std::uint32_t>(cfg.min_instances_per_node)) {
@@ -1124,18 +982,7 @@ void TreeGrower::grow_level_wise(std::span<const float> g,
       route(std::move(small_child));  // smaller first: enables subtraction
       route(std::move(large_child));
     }
-
-    if (level_partition_rows > 0) {
-      group_.set_phase("partition");
-      level_partition_stats.blocks =
-          std::max<std::uint64_t>(1, level_partition_rows / 256);
-      sim::charge_kernel(charge_device(), "partition_rows",
-                         level_partition_stats);
-      if (group_.size() > 1 && cfg.multi_gpu == MultiGpuMode::kFeatureParallel) {
-        // Owners broadcast the level's left/right bitmaps in one exchange.
-        group_.charge_broadcast(level_partition_rows / 8 + 1, 0);
-      }
-    }
+    if (level_partition_rows > 0) charge_partition(level_partition_rows);
     active = std::move(next);
   }
 
@@ -1155,7 +1002,6 @@ void TreeGrower::grow_leaf_wise(std::span<const float> g,
                                 std::span<const float> h,
                                 std::vector<std::uint32_t>& row_order,
                                 Tree& tree, GrownTree& out, ActiveNode&& root) {
-  const int d = ctx_.layout.n_outputs();
   const auto& cfg = ctx_.config;
   const std::size_t hist_bytes = ctx_.layout.byte_size();
 
@@ -1245,44 +1091,12 @@ void TreeGrower::grow_leaf_wise(std::span<const float> g,
                                           std::to_string(a.tree_node));
     group_.set_trace_level(cand.depth);
 
-    group_.set_phase("partition");
-    const std::uint32_t mid = partition_node(a, s, row_order);
-
+    const std::uint32_t mid = partition_rows(a, s, row_order);
+    charge_partition(a.count());
     const int cdepth = cand.depth + 1;
-    const auto [left_id, right_id] = tree.split_node(
-        a.tree_node, s.feature, s.bin,
-        ctx_.cuts->threshold_for(static_cast<std::size_t>(s.feature), s.bin),
-        s.gain, s.n_left, s.n_right, cdepth);
+    auto [small_child, large_child] =
+        split_children(tree, a, s, mid, cdepth, g, h, row_order);
     ++n_leaves;
-
-    const bool left_smaller = s.n_left <= s.n_right;
-    ActiveNode small_child, large_child;
-    small_child.tree_node = left_smaller ? left_id : right_id;
-    small_child.begin = left_smaller ? a.begin : mid;
-    small_child.end = left_smaller ? mid : a.end;
-    large_child.tree_node = left_smaller ? right_id : left_id;
-    large_child.begin = left_smaller ? mid : a.begin;
-    large_child.end = left_smaller ? a.end : mid;
-
-    group_.set_phase("histogram");
-    small_child.totals.assign(static_cast<std::size_t>(d), sim::GradPair{});
-    const auto small_rows = std::span<const std::uint32_t>(row_order).subspan(
-        small_child.begin, small_child.count());
-    reduce_node_totals(g, h, small_rows, small_child.totals);
-    large_child.totals.resize(static_cast<std::size_t>(d));
-    for (int k = 0; k < d; ++k) {
-      large_child.totals[static_cast<std::size_t>(k)] = sim::GradPair{
-          a.totals[static_cast<std::size_t>(k)].g -
-              small_child.totals[static_cast<std::size_t>(k)].g,
-          a.totals[static_cast<std::size_t>(k)].h -
-              small_child.totals[static_cast<std::size_t>(k)].h};
-    }
-    small_child.parent = a.tree_node;
-    large_child.parent = a.tree_node;
-    small_child.sibling = large_child.tree_node;
-    large_child.sibling = small_child.tree_node;
-    small_child.is_smaller = true;
-    large_child.is_smaller = false;
 
     auto eligible = [&](const ActiveNode& c) {
       return cdepth < cfg.max_depth &&

@@ -4,9 +4,8 @@
 // Level-wise: per level, every splittable node gets a histogram (built by
 // the configured strategy, or derived by sibling subtraction: the larger
 // child equals the parent minus the smaller child), the best split is
-// selected (per-device feature subsets + best-split all-reduce in
-// feature-parallel mode), and the node's instance range is
-// stable-partitioned into its children.
+// selected, and the node's instance range is stable-partitioned into its
+// children.
 //
 // Leaf-wise: a gain-ordered frontier of split candidates; the highest-gain
 // leaf splits first (deterministic tie-break on the lowest node id) until
@@ -29,12 +28,21 @@
 // (one histogram column per bundle — far fewer random updates for sparse
 // data) and then expanded back to the original per-feature layout, so split
 // selection, subtraction and the Tree never see bundles.
+//
+// Distribution (config.multi_gpu): feature-parallel partitions the columns
+// over the devices; each builds and searches its own columns and the grower
+// elects the winner. Data- and voting-parallel shard the rows: each device
+// builds a partial histogram over its shard for the cost model, and the
+// functional histogram is built once, in single-device order, on an
+// off-group ghost device. Both growth policies and all modes share one
+// histogram build, one split application and one partition rule.
 #pragma once
 
 #include <cstdint>
 #include <memory>
 #include <span>
 #include <unordered_map>
+#include <utility>
 #include <vector>
 
 #include "core/config.h"
@@ -57,20 +65,13 @@ struct GrowerContext {
   const data::BinnedCscMatrix* csc = nullptr;
   HistogramLayout layout;
   TrainConfig config;
-  // Feature subsets per device (feature-parallel) — contiguous chunks, or
-  // bundle-aligned groups when a bundling plan is applied.
-  std::vector<std::vector<std::uint32_t>> device_features;
-  // Row ownership boundaries per device (data-parallel).
-  std::vector<std::uint32_t> device_row_bounds;  // size n_devices + 1
 
   // Exclusive feature bundling (set by the booster via apply_bundling when
-  // config.efb finds mergeable features): the bundled bin matrix, its
-  // histogram layout (zero bin 0 per bundle = the shared default), and the
-  // per-device bundle partition matching device_features.
+  // config.efb finds mergeable features): the bundled bin matrix and its
+  // histogram layout (zero bin 0 per bundle = the shared default).
   const data::FeatureBundling* bundling = nullptr;
   const data::BinnedMatrix* bundled_bins = nullptr;
   HistogramLayout bundle_layout;
-  std::vector<std::vector<std::uint32_t>> device_bundles;
 
   // Histogram pool budget in bytes (from config.hist_budget_mb).
   std::size_t hist_pool_budget = 512ull << 20;
@@ -86,10 +87,8 @@ struct GrowerContext {
                               const data::BinCuts& cuts, int n_outputs,
                               const TrainConfig& config);
 
-  // Installs an EFB plan: builds the bundle layout and repartitions the
-  // device feature sets bundle-aligned (a bundle's members always live on
-  // one device, so the device that accumulates a bundled column also owns
-  // its expanded features for split search).
+  // Installs an EFB plan and builds the bundle layout. Install it before
+  // constructing a TreeGrower, which partitions the columns bundle-aligned.
   void apply_bundling(const data::FeatureBundling& plan,
                       const data::BinnedMatrix& bundled);
 };
@@ -118,10 +117,12 @@ class TreeGrower {
   // (reporting/ablation).
   const HistogramBuilder& builder() const { return *builder_; }
 
-  // Device-loss failover (sim/faults.h): after a device (or whole node) is
-  // marked lost, rebuilds the column partition AND the row shard boundaries
-  // over the surviving devices so the next grow() call — typically a retry
-  // of the tree the loss interrupted — runs entirely on the survivors.
+  // The one partition rule: contiguous column chunks (of features, or under
+  // EFB of bundles with their member features) and even row shards over the
+  // live devices; lost devices get no columns and zero-width row ranges.
+  // The constructor calls it; device-loss failover (sim/faults.h) calls it
+  // again after a device (or whole node) is marked lost, so the next grow()
+  // — typically a retry of the interrupted tree — runs on the survivors.
   // Requires at least one alive device.
   void redistribute_over_alive();
 
@@ -166,13 +167,11 @@ class TreeGrower {
                       std::vector<std::uint32_t>& row_order, Tree& tree,
                       GrownTree& out, ActiveNode&& root);
 
+  // Builds the node's histogram over node_rows_ into `out`, over the
+  // original features or, under EFB, over the bundled columns expanded back
+  // to the original layout (zero bins reconstructed from the node totals).
   void build_node_histogram(const ActiveNode& node, NodeHistogram& out,
                             std::span<const float> g, std::span<const float> h);
-  // EFB build: accumulate over bundled columns, then expand to `out` in the
-  // original layout (zero bins reconstructed from the node totals).
-  void build_node_histogram_bundled(const ActiveNode& node, NodeHistogram& out,
-                                    std::span<const float> g,
-                                    std::span<const float> h);
   // Host-side best-feature scan over a (partial or full) histogram,
   // mirroring the split kernel's gain formula. Used for the voting-parallel
   // local top-k nomination and the canonical-winner miss metric; the model
@@ -211,11 +210,23 @@ class TreeGrower {
   void reduce_node_totals(std::span<const float> g, std::span<const float> h,
                           std::span<const std::uint32_t> rows,
                           std::vector<sim::GradPair>& totals);
-  // Stable-partitions a node's row range by its split and charges the
-  // partition kernel (+ the feature-parallel bitmap broadcast). Returns the
-  // first right-child index.
-  std::uint32_t partition_node(const ActiveNode& node, const SplitResult& s,
+  // Stages the split column and stable-partitions a node's row range by its
+  // split. Returns the first right-child index. Charges nothing: the caller
+  // charges the rows it partitioned through charge_partition.
+  std::uint32_t partition_rows(const ActiveNode& node, const SplitResult& s,
                                std::vector<std::uint32_t>& row_order);
+  // Charges one partition kernel over `rows` rows, plus the feature-parallel
+  // left/right bitmap broadcast. Level-wise charges once per level, leaf-wise
+  // once per split (the extra synchronization the growth-policy bench
+  // measures).
+  void charge_partition(std::uint64_t rows);
+  // Records split `s` of node `a` (rows partitioned at `mid`) in the tree at
+  // `depth` and returns its children, smaller first. The smaller child's
+  // totals are reduced; the larger's are the parent's minus the smaller's.
+  std::pair<ActiveNode, ActiveNode> split_children(
+      Tree& tree, const ActiveNode& a, const SplitResult& s, std::uint32_t mid,
+      int depth, std::span<const float> g, std::span<const float> h,
+      std::span<const std::uint32_t> row_order);
 
   // Returns a released histogram from hist_pool_ with stale contents, or a
   // fresh zeroed one when the pool is empty.
@@ -241,6 +252,10 @@ class TreeGrower {
   sim::DeviceGroup& group_;
   const GrowerContext& ctx_;
   std::unique_ptr<HistogramBuilder> builder_;
+  // Data- or voting-parallel on more than one device: every device holds
+  // every column and builds over its own row shard. Otherwise the columns
+  // are partitioned (feature-parallel, or a single device).
+  const bool row_partitioned_;
   // Row-partitioned modes (data/voting): the functional histogram is built
   // once on this off-group "ghost" device in the exact 1-device accumulation
   // order, while the real devices build per-shard partials for the cost
@@ -261,14 +276,11 @@ class TreeGrower {
   std::vector<std::unique_ptr<data::BlockCache>> block_caches_;
   SplitScratch split_scratch_;
   std::vector<std::uint32_t> all_features_;
-  // Live column partition: starts as ctx_.device_features and shrinks to the
-  // survivors on redistribute_over_alive() (lost devices end up empty).
+  // Live partitions, set by redistribute_over_alive(): the column partition
+  // (feature-parallel), the bundle partition parallel to it (EFB), and the
+  // row shard boundaries (data/voting; size n_devices + 1).
   std::vector<std::vector<std::uint32_t>> device_features_;
-  // Live bundle partition (EFB; parallel to device_features_).
   std::vector<std::vector<std::uint32_t>> device_bundles_;
-  // Live row shard boundaries (data/voting): starts as
-  // ctx_.device_row_bounds and is rebuilt over the survivors on
-  // redistribute_over_alive() (lost devices get zero-width ranges).
   std::vector<std::uint32_t> device_row_bounds_;
   // This tree's feature view (= all_features_ unless colsample is active)
   // and its intersection with every device's column partition.

@@ -60,17 +60,12 @@ void update_scores_from_leaves(sim::Device& dev, const Tree& tree,
 namespace {
 
 // Traverses one tree for one instance, charging one random access per level;
-// returns the reached leaf id and its d-wide value vector (the caller
-// accumulates the values, through a checked view where the target is
-// cross-block state). NaN feature values follow the node's default_left
-// flag, matching the bin-0 routing of the quantized training partition.
-struct TraverseResult {
-  std::int32_t leaf = -1;
-  std::span<const float> values;
-};
-
-inline TraverseResult traverse(const Tree& tree, std::span<const float> row,
-                               sim::KernelStats& s) {
+// returns the reached leaf's d-wide value vector. NaN feature values follow
+// the node's default_left flag, matching the bin-0 routing of the quantized
+// training partition.
+inline std::span<const float> traverse(const Tree& tree,
+                                       std::span<const float> row,
+                                       sim::KernelStats& s) {
   std::int32_t id = 0;
   int levels = 0;
   while (!tree.node(static_cast<std::size_t>(id)).is_leaf()) {
@@ -80,20 +75,17 @@ inline TraverseResult traverse(const Tree& tree, std::span<const float> row,
     id = go_left ? nd.left : nd.right;
     ++levels;
   }
-  TraverseResult out;
-  out.leaf = id;
-  out.values = tree.leaf_values(tree.node(static_cast<std::size_t>(id)));
+  const auto values = tree.leaf_values(tree.node(static_cast<std::size_t>(id)));
   s.gmem_random_accesses += static_cast<std::uint64_t>(levels) * 2 + 1;
-  s.gmem_coalesced_bytes += out.values.size() * 2 * sizeof(float);
-  s.flops += out.values.size();
-  return out;
+  s.gmem_coalesced_bytes += values.size() * 2 * sizeof(float);
+  s.flops += values.size();
+  return values;
 }
 
 }  // namespace
 
 void predict_scores_device(sim::Device& dev, std::span<const Tree> trees,
-                           const data::DenseMatrix& x, std::span<float> scores,
-                           bool tree_parallel) {
+                           const data::DenseMatrix& x, std::span<float> scores) {
   // Zero-tree models (early stop at round 0, staged prefix 0) predict the
   // additive identity, not an abort.
   if (trees.empty()) {
@@ -108,57 +100,10 @@ void predict_scores_device(sim::Device& dev, std::span<const Tree> trees,
   constexpr int kBlock = 256;
   const int chunks = std::max(1, sim::blocks_for(n, kBlock));
 
-  if (tree_parallel) {
-    // One launch; blocks cover (tree, instance-chunk) pairs so all trees run
-    // concurrently. Scores are accumulated with atomics on real hardware;
-    // each block stages its chunk's leaf values privately and adds them to
-    // the shared scores under blk.commit(), so the accumulation order is
-    // block-id-deterministic for any --sim-threads value.
-    const int grid = static_cast<int>(trees.size()) * chunks;
-    // Restage-on-retry: scores start zero-filled, so re-zeroing before every
-    // attempt makes a retried launch bit-identical to a clean one.
-    sim::with_retry(dev, [&] {
-    std::fill(scores.begin(), scores.end(), 0.0f);
-    sim::launch(dev, "predict_trees", grid, kBlock, [&](sim::BlockCtx& blk) {
-      const std::size_t t = static_cast<std::size_t>(blk.block_id()) /
-                            static_cast<std::size_t>(chunks);
-      const std::size_t chunk = static_cast<std::size_t>(blk.block_id()) %
-                                static_cast<std::size_t>(chunks);
-      const std::size_t row_lo = chunk * kBlock;
-      const std::size_t row_hi = std::min(n, row_lo + kBlock);
-      std::vector<float> local(
-          (row_hi > row_lo ? row_hi - row_lo : 0) * static_cast<std::size_t>(d),
-          0.0f);
-      // Blocks covering the same instance chunk for different trees all
-      // accumulate into the same score words: cross-block shared state,
-      // staged privately and flushed under commit (checker-verified).
-      auto scores_v = blk.global_view(scores, "scores");
-      blk.threads([&](int tid) {
-        const std::size_t i = row_lo + static_cast<std::size_t>(tid);
-        if (i >= n) return;
-        const auto values = traverse(trees[t], x.row(i), blk.stats()).values;
-        float* dst = local.data() + (i - row_lo) * static_cast<std::size_t>(d);
-        for (std::size_t k = 0; k < values.size(); ++k) dst[k] += values[k];
-        blk.stats().atomic_global_ops += static_cast<std::uint64_t>(d) / 4 + 1;
-      });
-      blk.commit([&] {
-        for (std::size_t i = row_lo; i < row_hi; ++i) {
-          const std::size_t off = i * static_cast<std::size_t>(d);
-          const float* src = local.data() + (i - row_lo) * static_cast<std::size_t>(d);
-          for (int k = 0; k < d; ++k) {
-            scores_v.atomic_add(off + static_cast<std::size_t>(k), src[k]);
-          }
-        }
-      });
-    });
-    });
-    return;
-  }
-
-  // Instance-parallel: one launch per tree, one thread per instance. Score
-  // writes are block-partitioned (disjoint rows), so they may bypass commit
-  // — the checked view verifies exactly that. Each per-tree launch adds into
-  // the running totals, so retries snapshot/restore the scores around the
+  // One launch per tree, one thread per instance. Score writes are
+  // block-partitioned (disjoint rows), so they may bypass commit — the
+  // checked view verifies exactly that. Each per-tree launch adds into the
+  // running totals, so retries snapshot/restore the scores around the
   // faulted tree (only when a fault plan is armed).
   std::vector<float> staged;
   for (const auto& tree : trees) {
@@ -171,7 +116,7 @@ void predict_scores_device(sim::Device& dev, std::span<const Tree> trees,
         const std::size_t i = static_cast<std::size_t>(blk.block_id()) * kBlock +
                               static_cast<std::size_t>(tid);
         if (i >= n) return;
-        const auto values = traverse(tree, x.row(i), blk.stats()).values;
+        const auto values = traverse(tree, x.row(i), blk.stats());
         const std::size_t off = i * static_cast<std::size_t>(d);
         for (std::size_t k = 0; k < values.size(); ++k) {
           scores_v.add(off + k, values[k]);
@@ -179,54 +124,6 @@ void predict_scores_device(sim::Device& dev, std::span<const Tree> trees,
       });
     });
     });
-  }
-}
-
-CachedPredictor::CachedPredictor(sim::Device& dev, const data::DenseMatrix& x,
-                                 int n_outputs)
-    : dev_(dev),
-      x_(x),
-      n_outputs_(n_outputs),
-      scores_(x.n_rows() * static_cast<std::size_t>(n_outputs), 0.0f) {}
-
-void CachedPredictor::append_tree(const Tree& tree) {
-  GBMO_CHECK(tree.n_outputs() == n_outputs_);
-  std::vector<std::int32_t> leaf_map(x_.n_rows());
-  constexpr int kBlock = 256;
-  // Restage-on-retry: the launch adds into scores_ (leaf_map stores are
-  // idempotent), so snapshot/restore around the attempt when faults are
-  // armed; leaf_maps_ is only appended after a successful launch.
-  std::vector<float> staged;
-  if (sim::sim_faults_enabled()) staged = scores_;
-  sim::with_retry(dev_, [&] {
-  if (!staged.empty()) scores_ = staged;
-  sim::launch(dev_, "predict_cached", std::max(1, sim::blocks_for(x_.n_rows(), kBlock)),
-              kBlock, [&](sim::BlockCtx& blk) {
-    auto scores_v =
-        blk.global_view(std::span<float>(scores_), "cached_scores");
-    blk.threads([&](int tid) {
-      const std::size_t i = static_cast<std::size_t>(blk.block_id()) * kBlock +
-                            static_cast<std::size_t>(tid);
-      if (i >= x_.n_rows()) return;
-      // One traversal serves both the score update and the leaf memo (the
-      // previous code re-ran tree.find_leaf, doubling work and charges).
-      const auto hit = traverse(tree, x_.row(i), blk.stats());
-      const std::size_t off = i * static_cast<std::size_t>(n_outputs_);
-      for (std::size_t k = 0; k < hit.values.size(); ++k) {
-        scores_v.add(off + k, hit.values[k]);
-      }
-      leaf_map[i] = hit.leaf;
-    });
-  });
-  });
-  leaf_maps_.push_back(std::move(leaf_map));
-}
-
-void CachedPredictor::sync_with(std::span<const Tree> trees) {
-  GBMO_CHECK(trees.size() >= leaf_maps_.size())
-      << "cache holds more trees than the model";
-  for (std::size_t t = leaf_maps_.size(); t < trees.size(); ++t) {
-    append_tree(trees[t]);
   }
 }
 

@@ -35,8 +35,7 @@ class ReferenceEngine final : public InferenceEngine {
     const data::DenseMatrix& xin = maybe_encode(*model_, x, encoded);
     std::vector<float> scores(
         x.n_rows() * static_cast<std::size_t>(n_outputs_), 0.0f);
-    core::predict_scores_device(dev_, model_->trees, xin, scores,
-                                /*tree_parallel=*/false);
+    core::predict_scores_device(dev_, model_->trees, xin, scores);
     return scores;
   }
 
@@ -103,8 +102,7 @@ class ResilientEngine final : public InferenceEngine {
     }
     ++fallback_count_;
     std::fill(scores.begin(), scores.end(), 0.0f);
-    core::predict_scores_device(fallback_dev_, model_->trees, xin, scores,
-                                /*tree_parallel=*/false);
+    core::predict_scores_device(fallback_dev_, model_->trees, xin, scores);
     return scores;
   }
 

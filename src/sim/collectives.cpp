@@ -191,106 +191,6 @@ void DeviceGroup::charge_hierarchical_all_reduce(const char* name,
   charge_all_reduce_cost(name, intra_bytes, inter_bytes);
 }
 
-void DeviceGroup::all_reduce_sum(std::vector<std::span<float>> per_device) {
-  GBMO_CHECK(per_device.size() == devices_.size());
-  if (per_device.empty() || per_device[0].empty()) return;
-  const std::size_t n = per_device[0].size();
-  for (const auto& s : per_device) GBMO_CHECK(s.size() == n);
-  const int root = require_alive("all_reduce_sum");
-  maybe_inject_timeout();
-
-  // Functional reduction into the first live device's buffer, then replicate
-  // to the other live devices (lost devices neither contribute nor receive).
-  auto& acc = per_device[static_cast<std::size_t>(root)];
-  for (std::size_t d = 0; d < per_device.size(); ++d) {
-    if (static_cast<int>(d) == root || is_lost(static_cast<int>(d))) continue;
-    for (std::size_t i = 0; i < n; ++i) acc[i] += per_device[d][i];
-  }
-  for (std::size_t d = 0; d < per_device.size(); ++d) {
-    if (static_cast<int>(d) == root || is_lost(static_cast<int>(d))) continue;
-    std::copy(acc.begin(), acc.end(), per_device[d].begin());
-  }
-
-  charge_all_reduce_cost("ring_all_reduce", n * sizeof(float),
-                         n * sizeof(float));
-}
-
-void DeviceGroup::all_reduce_sum_u32(
-    std::vector<std::span<std::uint32_t>> per_device) {
-  GBMO_CHECK(per_device.size() == devices_.size());
-  if (per_device.empty() || per_device[0].empty()) return;
-  const std::size_t n = per_device[0].size();
-  for (const auto& s : per_device) GBMO_CHECK(s.size() == n);
-  const int root = require_alive("all_reduce_sum_u32");
-  maybe_inject_timeout();
-
-  auto& acc = per_device[static_cast<std::size_t>(root)];
-  for (std::size_t d = 0; d < per_device.size(); ++d) {
-    if (static_cast<int>(d) == root || is_lost(static_cast<int>(d))) continue;
-    for (std::size_t i = 0; i < n; ++i) acc[i] += per_device[d][i];
-  }
-  for (std::size_t d = 0; d < per_device.size(); ++d) {
-    if (static_cast<int>(d) == root || is_lost(static_cast<int>(d))) continue;
-    std::copy(acc.begin(), acc.end(), per_device[d].begin());
-  }
-
-  charge_all_reduce_cost("ring_all_reduce", n * sizeof(std::uint32_t),
-                         n * sizeof(std::uint32_t));
-}
-
-void DeviceGroup::all_gather(std::vector<std::span<const float>> per_device,
-                             std::vector<std::span<float>> out) {
-  GBMO_CHECK(per_device.size() == devices_.size());
-  GBMO_CHECK(out.size() == devices_.size());
-  std::size_t total = 0;
-  for (const auto& s : per_device) total += s.size();
-  for (const auto& o : out) GBMO_CHECK(o.size() == total);
-  require_alive("all_gather");
-  maybe_inject_timeout();
-
-  for (std::size_t d = 0; d < out.size(); ++d) {
-    std::size_t pos = 0;
-    for (const auto& s : per_device) {
-      std::copy(s.begin(), s.end(), out[d].begin() + static_cast<std::ptrdiff_t>(pos));
-      pos += s.size();
-    }
-  }
-
-  const std::size_t bytes_sz = total * sizeof(float);
-  const double bytes = static_cast<double>(bytes_sz);
-  if (topo_.nodes <= 1) {
-    const int k = n_alive();
-    if (k <= 1) return;
-    const double t = (k - 1) * (bytes / k / link_.bandwidth + link_.latency);
-    charge_all("all_gather", t);
-    intra_traffic_ += static_cast<std::uint64_t>(k - 1) * bytes_sz;
-    return;
-  }
-  // Hierarchical gather: intra-node gather, leader ring, broadcast down.
-  int g_max = 0;
-  int live_nodes = 0;
-  for (int node = 0; node < topo_.nodes; ++node) {
-    const int g = n_alive_in_node(node);
-    if (g > 0) ++live_nodes;
-    g_max = std::max(g_max, g);
-    if (g > 1) {
-      intra_traffic_ += 2ull * static_cast<std::uint64_t>(g - 1) * bytes_sz;
-    }
-  }
-  if (g_max > 1) {
-    const double t =
-        (g_max - 1) * (bytes / g_max / link_.bandwidth + link_.latency);
-    charge_all("gather_intra", t);
-    charge_all("broadcast_intra", t);
-  }
-  if (live_nodes > 1) {
-    const double t = (live_nodes - 1) *
-                     (bytes / live_nodes / inter_.bandwidth + inter_.latency);
-    charge_all("gather_inter_node", t);
-    inter_traffic_ += static_cast<std::uint64_t>(live_nodes - 1) * bytes_sz;
-  }
-}
-
 void DeviceGroup::charge_broadcast(std::size_t bytes, int root) {
   GBMO_CHECK(root >= 0 && root < size());
   require_alive("broadcast");
@@ -322,63 +222,6 @@ void DeviceGroup::charge_broadcast(std::size_t bytes, int root) {
     charge_all("broadcast_intra", hops * (b / link_.bandwidth + link_.latency));
     intra_traffic_ += static_cast<std::uint64_t>(k - live_nodes) * bytes;
   }
-}
-
-BestSplitMsg DeviceGroup::all_reduce_best_split(
-    std::span<const BestSplitMsg> per_device) {
-  GBMO_CHECK(per_device.size() == devices_.size());
-  require_alive("all_reduce_best_split");
-  maybe_inject_timeout();
-  // Documented deterministic winner rule: gain desc, then lowest feature id,
-  // then lowest device id. Devices with no candidate (feature/device < 0)
-  // are skipped, so the election never depends on which rank seeded the
-  // fold — the result is a pure function of the live messages.
-  const auto better = [](const BestSplitMsg& a, const BestSplitMsg& b) {
-    if (a.gain != b.gain) return a.gain > b.gain;
-    if (a.feature != b.feature) return a.feature < b.feature;
-    return a.device < b.device;
-  };
-  BestSplitMsg best;  // invalid until a live candidate arrives
-  for (std::size_t d = 0; d < per_device.size(); ++d) {
-    if (is_lost(static_cast<int>(d))) continue;
-    const auto& m = per_device[d];
-    if (m.device < 0 || m.feature < 0) continue;
-    if (best.device < 0 || better(m, best)) best = m;
-  }
-  const double msg = static_cast<double>(sizeof(BestSplitMsg));
-  if (topo_.nodes <= 1) {
-    const int k = n_alive();
-    if (k > 1) {
-      const double hops = 2.0 * std::ceil(std::log2(static_cast<double>(k)));
-      charge_all("best_split_reduce",
-                 hops * (msg / link_.bandwidth + link_.latency));
-      intra_traffic_ +=
-          2ull * static_cast<std::uint64_t>(k - 1) * sizeof(BestSplitMsg);
-    }
-    return best;
-  }
-  const int k = n_alive();
-  const int live_nodes = n_alive_nodes();
-  int g_max = 0;
-  for (int node = 0; node < topo_.nodes; ++node) {
-    g_max = std::max(g_max, n_alive_in_node(node));
-  }
-  if (g_max > 1) {
-    const double hops = 2.0 * std::ceil(std::log2(static_cast<double>(g_max)));
-    charge_all("best_split_intra",
-               hops * (msg / link_.bandwidth + link_.latency));
-    intra_traffic_ +=
-        2ull * static_cast<std::uint64_t>(k - live_nodes) * sizeof(BestSplitMsg);
-  }
-  if (live_nodes > 1) {
-    const double hops =
-        2.0 * std::ceil(std::log2(static_cast<double>(live_nodes)));
-    charge_all("best_split_inter_node",
-               hops * (msg / inter_.bandwidth + inter_.latency));
-    inter_traffic_ += 2ull * static_cast<std::uint64_t>(live_nodes - 1) *
-                      sizeof(BestSplitMsg);
-  }
-  return best;
 }
 
 }  // namespace gbmo::sim

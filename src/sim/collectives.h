@@ -1,10 +1,11 @@
-// Multi-device group and collective communication (the NCCL stand-in).
+// Multi-device group and the cost model of its links (the NCCL stand-in).
 //
 // The paper's multi-GPU mode partitions feature columns across devices,
 // builds partial histograms locally, and exchanges only summary statistics
-// (§3.4.2). DeviceGroup models the devices plus the interconnect; the
-// collectives are functionally exact and charge ring-algorithm time to every
-// participant under the device's current phase label.
+// (§3.4.2). DeviceGroup models the devices plus the interconnect. Training
+// computes every exchanged result on the host; the charge_* calls charge the
+// exchange's ring or tree time to every live participant under the device's
+// current phase label.
 //
 // Topology (DESIGN.md §13): a group is node_count × gpus_per_node. Devices
 // inside one node talk over the intra-node link (NVLink/PCIe); traffic
@@ -20,7 +21,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <span>
 #include <string>
 #include <vector>
 
@@ -65,7 +65,8 @@ class AllDevicesLost : public Error {
 };
 
 // A candidate split exchanged between devices; only the fields needed to
-// agree on the global winner and route the partition broadcast.
+// agree on the global winner and route the partition broadcast. Its size
+// sets the cost of the feature-parallel split election's exchange.
 struct BestSplitMsg {
   float gain = 0.0f;
   std::int32_t device = -1;
@@ -133,16 +134,6 @@ class DeviceGroup {
   std::uint64_t intra_traffic_bytes() const { return intra_traffic_; }
   std::uint64_t inter_traffic_bytes() const { return inter_traffic_; }
 
-  // Element-wise sum across per-device buffers (all same length); every
-  // device ends with the reduced values. Hierarchical ring all-reduce cost.
-  void all_reduce_sum(std::vector<std::span<float>> per_device);
-  void all_reduce_sum_u32(std::vector<std::span<std::uint32_t>> per_device);
-
-  // Concatenation exchange: every device contributes its span, every device
-  // receives all spans (functionally gathered into `out` for each device).
-  void all_gather(std::vector<std::span<const float>> per_device,
-                  std::vector<std::span<float>> out);
-
   // Broadcast `bytes`-sized payload from root to all (tree algorithm cost);
   // purely a timing charge — callers share host memory functionally.
   void charge_broadcast(std::size_t bytes, int root);
@@ -157,12 +148,6 @@ class DeviceGroup {
   void charge_hierarchical_all_reduce(const char* name,
                                       std::size_t intra_bytes,
                                       std::size_t inter_bytes);
-
-  // Agree on the best split across devices. Tie-break is documented and
-  // deterministic: gain desc, then lowest feature id, then lowest device id.
-  // Devices reporting no candidate (feature < 0 or device < 0) are skipped;
-  // if nobody has a candidate the invalid default message is returned.
-  BestSplitMsg all_reduce_best_split(std::span<const BestSplitMsg> per_device);
 
  private:
   void charge_all(const char* name, double seconds);

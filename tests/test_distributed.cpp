@@ -14,6 +14,7 @@
 
 #include <cstdint>
 #include <cstring>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -102,9 +103,79 @@ sim::DeviceGroup make_group_2x2() {
                           sim::LinkSpec::pcie4(), sim::LinkSpec::ethernet25());
 }
 
+// Sparse replica (90% exact zeros) on which EFB finds mergeable features.
+data::Dataset make_sparse_data() {
+  data::MulticlassSpec spec;
+  spec.n_instances = 400;
+  spec.n_features = 16;
+  spec.n_classes = 4;
+  spec.sparsity = 0.9;
+  spec.seed = 13;
+  return data::make_multiclass(spec);
+}
+
+core::TrainConfig cfg_pinned(core::GrowthPolicy growth, bool efb) {
+  auto cfg = cfg_base();
+  cfg.growth = growth;
+  if (growth == core::GrowthPolicy::kLeafWise) cfg.max_leaves = 10;
+  cfg.efb = efb;
+  return cfg;
+}
+
+// One 2x2 run's modeled charges, pinned exactly. The grower computes the
+// model once in single-device order and charges each distribution mode's
+// partial builds, exchanges and broadcasts to the cost model; these values
+// fix that accounting per mode, growth policy and EFB setting.
+struct PinnedCharges {
+  core::MultiGpuMode mode;
+  core::GrowthPolicy growth;
+  bool efb;
+  double modeled_seconds;
+  std::uint64_t intra_bytes;
+  std::uint64_t inter_bytes;
+  std::uint64_t vote_rounds;
+  std::uint64_t vote_misses;
+  std::uint64_t events;
+};
+
+// Trains every pinned case on a 2x2 topology under `faults`: each model must
+// be bitwise-identical to one device with the same growth and EFB setting,
+// EFB runs must expand bundled histograms, and every charge must match.
+void expect_pinned_charges(std::span<const PinnedCharges> pins,
+                           const std::string& faults) {
+  const auto d = make_sparse_data();
+  for (const auto& pin : pins) {
+    SCOPED_TRACE(std::string(multi_gpu_mode_name(pin.mode)) + " " +
+                 growth_policy_name(pin.growth) + (pin.efb ? " efb" : "") +
+                 (faults.empty() ? "" : " " + faults));
+    core::GbmoBooster single(cfg_pinned(pin.growth, pin.efb));
+    const auto ref = single.fit(d);
+
+    auto cfg = cfg_pinned(pin.growth, pin.efb);
+    cfg.multi_gpu = pin.mode;
+    cfg.n_devices = 4;
+    cfg.n_nodes = 2;
+    cfg.faults = faults;
+    obs::Profiler prof(/*capture_trace=*/false);
+    core::GbmoBooster dist(cfg);
+    dist.set_sink(&prof);
+    const auto got = dist.fit(d);
+    expect_models_identical(ref, got);
+    EXPECT_EQ(prof.kernels().count("efb_expand"), pin.efb ? 1u : 0u);
+
+    const auto& r = dist.report();
+    EXPECT_EQ(r.modeled_seconds, pin.modeled_seconds);
+    EXPECT_EQ(r.comm_intra_bytes, pin.intra_bytes);
+    EXPECT_EQ(r.comm_inter_bytes, pin.inter_bytes);
+    EXPECT_EQ(r.vote_rounds, pin.vote_rounds);
+    EXPECT_EQ(r.vote_misses, pin.vote_misses);
+    EXPECT_EQ(prof.total_events(), pin.events);
+  }
+}
+
 // ---------------------------------------------------------------------------
 // DistributedFast: topology helpers, per-mode bitwise identity, tie-breaks,
-// traffic accounting.
+// traffic accounting, pinned charges.
 
 TEST(DistributedFast, TopologyHelpersAndLeaderElection) {
   auto group = make_group_2x2();
@@ -204,34 +275,6 @@ TEST(DistributedFast, VotingMovesFewerInterBytesThanData) {
   EXPECT_GT(vote_b.report().comm_inter_bytes, 0u);
 }
 
-TEST(DistributedFast, BestSplitTieBreaksOnFeatureThenDevice) {
-  auto group = make_group_2x2();
-
-  // Exact cross-device gain tie: lower feature id must win regardless of
-  // which device reports it.
-  std::vector<sim::BestSplitMsg> msgs(4);
-  msgs[0] = {1.0f, 0, 7, 3, 0};
-  msgs[1] = {0.0f, -1, -1, -1, -1};  // no candidate: skipped
-  msgs[2] = {1.0f, 2, 3, 5, 0};
-  msgs[3] = {0.5f, 3, 0, 1, 0};
-  const auto won = group.all_reduce_best_split(msgs);
-  EXPECT_EQ(won.feature, 3);
-  EXPECT_EQ(won.device, 2);
-  EXPECT_EQ(won.bin, 5);
-
-  // Gain AND feature tie: lowest device id wins.
-  msgs[0] = {1.0f, 0, 3, 9, 0};
-  const auto won2 = group.all_reduce_best_split(msgs);
-  EXPECT_EQ(won2.device, 0);
-  EXPECT_EQ(won2.bin, 9);
-
-  // Nobody has a candidate: the invalid default comes back.
-  for (auto& m : msgs) m = sim::BestSplitMsg{};
-  const auto none = group.all_reduce_best_split(msgs);
-  EXPECT_EQ(none.feature, -1);
-  EXPECT_EQ(none.device, -1);
-}
-
 TEST(DistributedFast, GainTieAcrossDevicesMatchesSingleDeviceElection) {
   // Duplicated feature columns land on different devices under the
   // contiguous feature partition, so every split gain at feature j + 3 is an
@@ -263,6 +306,38 @@ TEST(DistributedFast, GainTieAcrossDevicesMatchesSingleDeviceElection) {
     const auto got = dist.fit(d);
     expect_models_identical(ref, got);
   }
+}
+
+TEST(DistributedFast, PinnedChargesPerModeGrowthAndEfb) {
+  using core::GrowthPolicy;
+  using core::MultiGpuMode;
+  static constexpr PinnedCharges kPins[] = {
+      {MultiGpuMode::kFeatureParallel, GrowthPolicy::kLevelWise, false,
+       0x1.0d52c27f16fefp-8, 6852, 3426, 0, 0, 1400},
+      {MultiGpuMode::kFeatureParallel, GrowthPolicy::kLevelWise, true,
+       0x1.2f0ce721cd54ep-8, 6852, 3426, 0, 0, 1548},
+      {MultiGpuMode::kFeatureParallel, GrowthPolicy::kLeafWise, false,
+       0x1.2e46878e84396p-8, 6858, 3429, 0, 0, 1619},
+      {MultiGpuMode::kFeatureParallel, GrowthPolicy::kLeafWise, true,
+       0x1.457d0d66f5b74p-8, 6858, 3429, 0, 0, 1767},
+      {MultiGpuMode::kDataParallel, GrowthPolicy::kLevelWise, false,
+       0x1.c5a0c461a8839p-8, 2575440, 1287720, 0, 0, 1679},
+      {MultiGpuMode::kDataParallel, GrowthPolicy::kLevelWise, true,
+       0x1.d4ff26e8382aep-8, 2575440, 1287720, 0, 0, 1827},
+      {MultiGpuMode::kDataParallel, GrowthPolicy::kLeafWise, false,
+       0x1.ce7ad83779b6bp-8, 2575440, 1287720, 0, 0, 1741},
+      {MultiGpuMode::kDataParallel, GrowthPolicy::kLeafWise, true,
+       0x1.db7fc4b31dc83p-8, 2575440, 1287720, 0, 0, 1889},
+      {MultiGpuMode::kVotingParallel, GrowthPolicy::kLevelWise, false,
+       0x1.3914cf075e344p-8, 2575440, 534016, 35, 17, 1399},
+      {MultiGpuMode::kVotingParallel, GrowthPolicy::kLevelWise, true,
+       0x1.4873318deddbbp-8, 2575440, 534016, 35, 17, 1547},
+      {MultiGpuMode::kVotingParallel, GrowthPolicy::kLeafWise, false,
+       0x1.3ed73ce17a558p-8, 2575440, 239104, 35, 12, 1461},
+      {MultiGpuMode::kVotingParallel, GrowthPolicy::kLeafWise, true,
+       0x1.4bdc295d1e66fp-8, 2575440, 239104, 35, 12, 1609},
+  };
+  expect_pinned_charges(kPins, "");
 }
 
 // ---------------------------------------------------------------------------
@@ -333,6 +408,38 @@ TEST(DistributedChaos, NodeKillFailoverBitwise) {
     expect_models_identical(ref, got);
     expect_predictions_identical(ref, got, d);
   }
+
+  // The same loss on the sparse replica, per mode x growth x EFB, with every
+  // charge of the failover run pinned.
+  using core::GrowthPolicy;
+  using core::MultiGpuMode;
+  static constexpr PinnedCharges kPins[] = {
+      {MultiGpuMode::kFeatureParallel, GrowthPolicy::kLevelWise, false,
+       0x1.8589e7e162f54p-9, 4213, 787, 0, 0, 798},
+      {MultiGpuMode::kFeatureParallel, GrowthPolicy::kLevelWise, true,
+       0x1.c18cf67a9c9bap-9, 4213, 787, 0, 0, 892},
+      {MultiGpuMode::kFeatureParallel, GrowthPolicy::kLeafWise, false,
+       0x1.a1b6c57381d8cp-9, 4216, 787, 0, 0, 905},
+      {MultiGpuMode::kFeatureParallel, GrowthPolicy::kLeafWise, true,
+       0x1.c850dc92f9938p-9, 4216, 787, 0, 0, 999},
+      {MultiGpuMode::kDataParallel, GrowthPolicy::kLevelWise, false,
+       0x1.1b3b6090befep-8, 1655640, 331128, 0, 0, 1030},
+      {MultiGpuMode::kDataParallel, GrowthPolicy::kLevelWise, true,
+       0x1.2e8dab4d32bb6p-8, 1655640, 331128, 0, 0, 1130},
+      {MultiGpuMode::kDataParallel, GrowthPolicy::kLeafWise, false,
+       0x1.2271f078801dap-8, 1655640, 331128, 0, 0, 1074},
+      {MultiGpuMode::kDataParallel, GrowthPolicy::kLeafWise, true,
+       0x1.31c976254c23dp-8, 1655640, 331128, 0, 0, 1174},
+      {MultiGpuMode::kVotingParallel, GrowthPolicy::kLevelWise, false,
+       0x1.d4c73ccfa03dep-9, 1655640, 195840, 36, 11, 906},
+      {MultiGpuMode::kVotingParallel, GrowthPolicy::kLevelWise, true,
+       0x1.fb6bd24887b84p-9, 1655640, 195840, 36, 11, 1006},
+      {MultiGpuMode::kVotingParallel, GrowthPolicy::kLeafWise, false,
+       0x1.e0eefeba4983ep-9, 1655640, 87552, 36, 9, 950},
+      {MultiGpuMode::kVotingParallel, GrowthPolicy::kLeafWise, true,
+       0x1.ff9e0a13e1907p-9, 1655640, 87552, 36, 9, 1050},
+  };
+  expect_pinned_charges(kPins, "kill-node=2@25");
 }
 
 TEST(DistributedChaos, NodeKillWithNoSurvivorsAborts) {
@@ -348,84 +455,33 @@ TEST(DistributedChaos, EveryCollectiveSurfacesAllDevicesLost) {
   group.kill_node(0);
   group.kill_node(1);
 
-  std::vector<std::vector<float>> fbufs(4, std::vector<float>(2, 1.0f));
-  std::vector<std::span<float>> fspans;
-  for (auto& b : fbufs) fspans.emplace_back(b);
-  EXPECT_THROW(group.all_reduce_sum(fspans), sim::AllDevicesLost);
-
-  std::vector<std::vector<std::uint32_t>> ubufs(
-      4, std::vector<std::uint32_t>(2, 1u));
-  std::vector<std::span<std::uint32_t>> uspans;
-  for (auto& b : ubufs) uspans.emplace_back(b);
-  EXPECT_THROW(group.all_reduce_sum_u32(uspans), sim::AllDevicesLost);
-
-  std::vector<std::vector<float>> gout(4, std::vector<float>(8, 0.0f));
-  std::vector<std::span<const float>> gin;
-  std::vector<std::span<float>> gouts;
-  for (int i = 0; i < 4; ++i) {
-    gin.emplace_back(fbufs[static_cast<std::size_t>(i)]);
-    gouts.emplace_back(gout[static_cast<std::size_t>(i)]);
-  }
-  EXPECT_THROW(group.all_gather(gin, gouts), sim::AllDevicesLost);
-
   EXPECT_THROW(group.charge_broadcast(1024, /*root=*/0), sim::AllDevicesLost);
   EXPECT_THROW(group.charge_all_reduce("test_reduce", 1024),
                sim::AllDevicesLost);
-  EXPECT_THROW(group.charge_hierarchical_all_reduce("test_hier", 1024, 128),
-               sim::AllDevicesLost);
-
-  std::vector<sim::BestSplitMsg> msgs(4);
-  msgs[0] = {1.0f, 0, 1, 2, 0};
   try {
-    (void)group.all_reduce_best_split(msgs);
+    group.charge_hierarchical_all_reduce("test_hier", 1024, 128);
     FAIL() << "expected AllDevicesLost";
   } catch (const sim::AllDevicesLost& e) {
-    EXPECT_EQ(e.collective(), "all_reduce_best_split");
+    EXPECT_EQ(e.collective(), "test_hier");
   }
 }
 
 TEST(DistributedChaos, LeaderLossMidRunIsDeterministic) {
-  // Two identically-built groups, same leader loss, same collective: the
-  // functional result and the modeled clock must agree bitwise (leader
-  // re-election is recomputed from scratch, never cached).
+  // Two identically-built groups, same leader loss, same exchange: the
+  // modeled clock must agree bitwise (leader re-election is recomputed from
+  // scratch, never cached).
   auto run = [](sim::DeviceGroup& group) {
     group.mark_lost(0);  // node 0's leader
-    std::vector<std::vector<float>> bufs(4, std::vector<float>(3));
-    for (int i = 0; i < 4; ++i) {
-      for (int j = 0; j < 3; ++j) {
-        bufs[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)] =
-            static_cast<float>(i * 10 + j);
-      }
-    }
-    std::vector<std::span<float>> spans;
-    for (auto& b : bufs) spans.emplace_back(b);
-    group.all_reduce_sum(spans);
-    return std::make_pair(bufs, group.max_modeled_seconds());
+    group.charge_all_reduce("ring_all_reduce", 3 * sizeof(float));
+    return group.max_modeled_seconds();
   };
 
   auto g1 = make_group_2x2();
   auto g2 = make_group_2x2();
-  const auto [bufs1, secs1] = run(g1);
-  const auto [bufs2, secs2] = run(g2);
+  const double secs1 = run(g1);
+  const double secs2 = run(g2);
   EXPECT_EQ(g1.node_leader(0), 1);
-
-  // Survivors (1, 2, 3) hold the sum over survivors; the lost device's
-  // buffer is untouched.
-  for (int i = 1; i < 4; ++i) {
-    for (int j = 0; j < 3; ++j) {
-      const float want = static_cast<float>((10 + j) + (20 + j) + (30 + j));
-      EXPECT_EQ(bufs1[static_cast<std::size_t>(i)][static_cast<std::size_t>(j)],
-                want)
-          << i << "," << j;
-    }
-  }
-  EXPECT_EQ(bufs1[0][0], 0.0f);
-  ASSERT_EQ(bufs1.size(), bufs2.size());
-  for (std::size_t i = 0; i < bufs1.size(); ++i) {
-    EXPECT_EQ(std::memcmp(bufs1[i].data(), bufs2[i].data(),
-                          bufs1[i].size() * sizeof(float)),
-              0);
-  }
+  EXPECT_GT(secs1, 0.0);
   EXPECT_DOUBLE_EQ(secs1, secs2);
 }
 

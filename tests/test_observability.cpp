@@ -1,9 +1,7 @@
 // Observability layer: the per-kernel registry's sums must equal the device
 // aggregates (by construction — every charge routes through the same sink
 // path), the Chrome trace must be well-formed JSON with properly nested
-// spans, the registry must round-trip every system name and alias, and the
-// fluent TrainConfig builder must produce the same config as plain field
-// assignment.
+// spans, and the registry must round-trip every system name and alias.
 #include <gtest/gtest.h>
 
 #include <cctype>
@@ -144,8 +142,11 @@ data::Dataset tiny_multiclass(std::uint64_t seed = 7) {
 }
 
 core::TrainConfig tiny_config() {
-  return core::TrainConfig::defaults().trees(4).depth(4).eta(0.6f).bins(32)
-      .min_instances(5);
+  return {.n_trees = 4,
+          .max_depth = 4,
+          .learning_rate = 0.6f,
+          .min_instances_per_node = 5,
+          .max_bins = 32};
 }
 
 // ---------------------------------------------------------------------------
@@ -378,52 +379,6 @@ TEST(SystemRegistry, SinkAttachesThroughTrainSystem) {
     EXPECT_FALSE(prof.kernels().empty()) << name << " charged no kernels";
     EXPECT_GT(prof.total_seconds(), 0.0);
   }
-}
-
-// ---------------------------------------------------------------------------
-// fluent config builder
-
-TEST(TrainConfigBuilder, FluentChainsMatchPlainAssignment) {
-  core::TrainConfig plain;
-  plain.n_trees = 64;
-  plain.max_depth = 5;
-  plain.learning_rate = 0.3f;
-  plain.max_bins = 128;
-  plain.min_instances_per_node = 10;
-  plain.lambda_l2 = 2.0f;
-  plain.hist_method = core::HistMethod::kShared;
-  plain.n_devices = 2;
-  plain.multi_gpu = core::MultiGpuMode::kDataParallel;
-  plain.subsample = 0.8;
-  plain.seed = 42;
-
-  const auto fluent = core::TrainConfig::defaults()
-                          .trees(64)
-                          .depth(5)
-                          .eta(0.3f)
-                          .bins(128)
-                          .min_instances(10)
-                          .l2(2.0f)
-                          .hist(core::HistMethod::kShared)
-                          .devices(2, core::MultiGpuMode::kDataParallel)
-                          .row_subsample(0.8)
-                          .rng_seed(42);
-
-  EXPECT_EQ(fluent.n_trees, plain.n_trees);
-  EXPECT_EQ(fluent.max_depth, plain.max_depth);
-  EXPECT_EQ(fluent.learning_rate, plain.learning_rate);
-  EXPECT_EQ(fluent.max_bins, plain.max_bins);
-  EXPECT_EQ(fluent.min_instances_per_node, plain.min_instances_per_node);
-  EXPECT_EQ(fluent.lambda_l2, plain.lambda_l2);
-  EXPECT_EQ(fluent.hist_method, plain.hist_method);
-  EXPECT_EQ(fluent.n_devices, plain.n_devices);
-  EXPECT_EQ(fluent.multi_gpu, plain.multi_gpu);
-  EXPECT_EQ(fluent.subsample, plain.subsample);
-  EXPECT_EQ(fluent.seed, plain.seed);
-
-  // Defaults are untouched elsewhere.
-  EXPECT_EQ(fluent.warp_opt, core::TrainConfig{}.warp_opt);
-  EXPECT_EQ(fluent.sibling_subtraction, core::TrainConfig{}.sibling_subtraction);
 }
 
 // ---------------------------------------------------------------------------

@@ -1,6 +1,6 @@
 // Prediction paths must agree: the incremental leaf-map update (§3.1.1),
-// instance-parallel traversal, tree-parallel traversal and the host-side
-// convenience predictor.
+// instance-parallel device traversal and the host-side convenience
+// predictor.
 #include <gtest/gtest.h>
 
 #include <cstring>
@@ -41,13 +41,10 @@ TEST(PredictorTest, DeviceKernelsMatchHostTraversal) {
 
   sim::Device dev(sim::DeviceSpec::rtx4090());
   std::vector<float> instance_par(host.size());
-  predict_scores_device(dev, model.trees, d.x, instance_par, false);
-  std::vector<float> tree_par(host.size());
-  predict_scores_device(dev, model.trees, d.x, tree_par, true);
+  predict_scores_device(dev, model.trees, d.x, instance_par);
 
   for (std::size_t i = 0; i < host.size(); ++i) {
     EXPECT_NEAR(instance_par[i], host[i], 1e-5f);
-    EXPECT_NEAR(tree_par[i], host[i], 1e-5f);
   }
   EXPECT_GT(dev.modeled_seconds(), 0.0);
 }
@@ -116,18 +113,15 @@ TEST(PredictorTest, NaNRoutesLikeTheBinnedTrainingPartition) {
     }
   }
 
-  // Both device paths accumulate in ascending tree order per score word, so
-  // on NaN rows they stay bit-identical to the host reference.
+  // The device path accumulates in ascending tree order per score word, so
+  // on NaN rows it stays bit-identical to the host reference.
   const auto host = predict_scores(model.trees, d.x, 3);
   sim::Device dev(sim::DeviceSpec::rtx4090());
-  for (bool tree_parallel : {false, true}) {
-    std::vector<float> scores(host.size());
-    predict_scores_device(dev, model.trees, d.x, scores, tree_parallel);
-    EXPECT_EQ(std::memcmp(scores.data(), host.data(),
-                          host.size() * sizeof(float)),
-              0)
-        << "tree_parallel=" << tree_parallel;
-  }
+  std::vector<float> scores(host.size());
+  predict_scores_device(dev, model.trees, d.x, scores);
+  EXPECT_EQ(std::memcmp(scores.data(), host.data(),
+                        host.size() * sizeof(float)),
+            0);
 }
 
 }  // namespace

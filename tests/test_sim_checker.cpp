@@ -2,8 +2,8 @@
 //
 // Positive half: every existing kernel — the three dense histogram builders,
 // the CSC level sweep, gradient computation/reduction, score updates and
-// both predict_trees variants — runs clean under the hard-fail mode, at 1
-// and 4 scheduler threads. Negative half: deliberately broken toy kernels
+// predict_trees — runs clean under the hard-fail mode, at 1 and 4 scheduler
+// threads. Negative half: deliberately broken toy kernels
 // (missing sync, out-of-bounds, non-atomic contention, barrier divergence,
 // uninitialized reads, commit-discipline breaks) must each be flagged with
 // the kernel name and the offending site.
@@ -129,17 +129,13 @@ TEST(SimChecker, PredictTreesCleanBothVariants) {
   const auto d = small_data();
   std::vector<float> scores(d.x.n_rows() *
                             static_cast<std::size_t>(model.n_outputs));
-  for (bool tree_parallel : {false, true}) {
-    for (int threads : {1, 4}) {
-      CheckGuard guard(sim::CheckMode::kFail, threads);
-      sim::Device dev(sim::DeviceSpec::rtx4090());
-      core::predict_scores_device(dev, model.trees, d.x, scores,
-                                  tree_parallel);
-      EXPECT_EQ(sim::CheckReport::instance().total_violations(), 0u)
-          << "predict_trees tree_parallel=" << tree_parallel << " @ "
-          << threads << " threads:\n"
-          << sim::CheckReport::instance().summary();
-    }
+  for (int threads : {1, 4}) {
+    CheckGuard guard(sim::CheckMode::kFail, threads);
+    sim::Device dev(sim::DeviceSpec::rtx4090());
+    core::predict_scores_device(dev, model.trees, d.x, scores);
+    EXPECT_EQ(sim::CheckReport::instance().total_violations(), 0u)
+        << "predict_trees @ " << threads << " threads:\n"
+        << sim::CheckReport::instance().summary();
   }
 }
 

@@ -115,74 +115,26 @@ TEST(WarpTest, ReduceBallotScan) {
 }
 
 TEST(Collectives, AllReduceSumIsExactAndReplicated) {
+  // Training computes the reduced values on the host; the group charges the
+  // exchange to every participant.
   DeviceGroup group(DeviceSpec::rtx4090(), 4);
-  std::vector<std::vector<float>> bufs(4, std::vector<float>(16));
-  for (int d = 0; d < 4; ++d) {
-    for (int i = 0; i < 16; ++i) bufs[static_cast<std::size_t>(d)][static_cast<std::size_t>(i)] =
-        static_cast<float>(d + 1);
-  }
-  std::vector<std::span<float>> spans;
-  for (auto& b : bufs) spans.push_back(b);
-  group.all_reduce_sum(spans);
-  for (const auto& b : bufs) {
-    for (float v : b) EXPECT_FLOAT_EQ(v, 10.0f);  // 1+2+3+4
-  }
-  EXPECT_GT(group.device(0).modeled_seconds(), 0.0);
-  EXPECT_GT(group.device(3).modeled_seconds(), 0.0);
-}
-
-TEST(Collectives, AllReduceU32) {
-  DeviceGroup group(DeviceSpec::rtx4090(), 3);
-  std::vector<std::vector<std::uint32_t>> bufs(3, std::vector<std::uint32_t>{1, 2});
-  std::vector<std::span<std::uint32_t>> spans;
-  for (auto& b : bufs) spans.push_back(b);
-  group.all_reduce_sum_u32(spans);
-  for (const auto& b : bufs) {
-    EXPECT_EQ(b[0], 3u);
-    EXPECT_EQ(b[1], 6u);
-  }
-}
-
-TEST(Collectives, AllGatherConcatenates) {
-  DeviceGroup group(DeviceSpec::rtx4090(), 2);
-  std::vector<float> a = {1, 2}, b = {3};
-  std::vector<float> out0(3), out1(3);
-  group.all_gather({std::span<const float>(a), std::span<const float>(b)},
-                   {std::span<float>(out0), std::span<float>(out1)});
-  EXPECT_EQ(out0, (std::vector<float>{1, 2, 3}));
-  EXPECT_EQ(out1, out0);
-}
-
-TEST(Collectives, BestSplitMaxGainWithDeterministicTies) {
-  DeviceGroup group(DeviceSpec::rtx4090(), 3);
-  std::vector<BestSplitMsg> msgs = {
-      {1.0f, 0, 5, 3, 7}, {2.0f, 1, 8, 1, 7}, {2.0f, 2, 9, 2, 7}};
-  const auto best = group.all_reduce_best_split(msgs);
-  EXPECT_EQ(best.device, 1);  // max gain, lower device wins ties
-  EXPECT_EQ(best.feature, 8);
+  group.charge_all_reduce("ring_all_reduce", 16 * sizeof(float));
+  for (int d = 0; d < 4; ++d) EXPECT_GT(group.device(d).modeled_seconds(), 0.0);
 }
 
 TEST(Collectives, NvlinkCheaperThanPcie) {
-  std::vector<float> payload(1 << 16);
   auto run_with = [&](LinkSpec link) {
     DeviceGroup group(DeviceSpec::rtx4090(), 4, link);
-    std::vector<std::vector<float>> bufs(4, payload);
-    std::vector<std::span<float>> spans;
-    for (auto& b : bufs) spans.push_back(b);
-    group.all_reduce_sum(spans);
+    group.charge_all_reduce("ring_all_reduce", (1 << 16) * sizeof(float));
     return group.device(0).modeled_seconds();
   };
   EXPECT_LT(run_with(LinkSpec::nvlink()) * 3, run_with(LinkSpec::pcie4()));
 }
 
 TEST(Collectives, RingCostGrowsWithDeviceCount) {
-  std::vector<float> payload(1 << 14);
   auto comm_time = [&](int devices) {
     DeviceGroup group(DeviceSpec::rtx4090(), devices);
-    std::vector<std::vector<float>> bufs(static_cast<std::size_t>(devices), payload);
-    std::vector<std::span<float>> spans;
-    for (auto& b : bufs) spans.push_back(b);
-    group.all_reduce_sum(spans);
+    group.charge_all_reduce("ring_all_reduce", (1 << 14) * sizeof(float));
     return group.device(0).modeled_seconds();
   };
   // Ring all-reduce latency term scales with (k-1); bandwidth term saturates.
@@ -191,8 +143,7 @@ TEST(Collectives, RingCostGrowsWithDeviceCount) {
 
 TEST(Collectives, SingleDeviceChargesNoComm) {
   DeviceGroup group(DeviceSpec::rtx4090(), 1);
-  std::vector<float> buf = {1.0f};
-  group.all_reduce_sum({std::span<float>(buf)});
+  group.charge_all_reduce("ring_all_reduce", sizeof(float));
   EXPECT_DOUBLE_EQ(group.device(0).modeled_seconds(), 0.0);
 }
 
