@@ -39,23 +39,6 @@ void BM_SortPairs(benchmark::State& state) {
 }
 BENCHMARK(BM_SortPairs)->Arg(1 << 12)->Arg(1 << 16)->Arg(1 << 20);
 
-void BM_SegmentedScan(benchmark::State& state) {
-  const auto n = static_cast<std::size_t>(state.range(0));
-  const std::uint32_t seg = 256;
-  std::vector<sim::GradPair> values(n, {1.0f, 2.0f});
-  std::vector<sim::GradPair> out(n);
-  std::vector<std::uint32_t> offsets;
-  for (std::uint32_t i = 0; i <= n; i += seg) offsets.push_back(i);
-  if (offsets.back() != n) offsets.push_back(static_cast<std::uint32_t>(n));
-  sim::Device dev(sim::DeviceSpec::rtx4090());
-  for (auto _ : state) {
-    sim::segmented_inclusive_scan(dev, values, offsets, out);
-    benchmark::DoNotOptimize(out.data());
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(n) * state.iterations());
-}
-BENCHMARK(BM_SegmentedScan)->Arg(1 << 14)->Arg(1 << 18);
-
 void BM_SegmentedArgMax(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const std::uint32_t seg = 256;

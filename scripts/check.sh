@@ -9,6 +9,18 @@ set -euo pipefail
 repo="$(cd "$(dirname "$0")/.." && pwd)"
 build="${GBMO_CHECK_BUILD_DIR:-$repo/build-check}"
 
+# True when the toolchain can link -fsanitize=$1. The probe directory is
+# removed before returning.
+sanitizer_links() {
+  local probe status=0
+  probe="$(mktemp -d)"
+  echo 'int main(){return 0;}' > "$probe/probe.cpp"
+  "${CXX:-c++}" -fsanitize="$1" "$probe/probe.cpp" -o "$probe/probe" \
+    2>/dev/null || status=$?
+  rm -rf "$probe"
+  return "$status"
+}
+
 cmake -B "$build" -S "$repo" -DCMAKE_CXX_FLAGS=-Werror
 cmake --build "$build" -j "$(nproc)"
 # Every test once, whatever its label (fast, slow, chaos, distributed,
@@ -88,10 +100,7 @@ echo "check: bench_workloads smoke OK (categorical + ranking, bitwise + quality 
 # pool (GBMO_CHECK_TSAN=0 skips; also skipped when the toolchain can't link
 # -fsanitize=thread, e.g. missing libtsan).
 if [[ "${GBMO_CHECK_TSAN:-1}" != "0" ]]; then
-  tsan_probe="$(mktemp -d)"
-  trap 'rm -rf "$tsan_probe"' EXIT
-  echo 'int main(){return 0;}' > "$tsan_probe/probe.cpp"
-  if "${CXX:-c++}" -fsanitize=thread "$tsan_probe/probe.cpp" -o "$tsan_probe/probe" 2>/dev/null; then
+  if sanitizer_links thread; then
     tsan_build="${GBMO_CHECK_TSAN_BUILD_DIR:-$repo/build-tsan}"
     cmake -B "$tsan_build" -S "$repo" -DGBMO_SANITIZE=thread
     cmake --build "$tsan_build" -j "$(nproc)" --target gbmo_tests
@@ -118,10 +127,7 @@ fi
 # builders' row compaction, the views' bulk adds and the dense histogram
 # passes index through raw and __restrict pointers).
 if [[ "${GBMO_CHECK_ASAN:-1}" != "0" ]]; then
-  asan_probe="$(mktemp -d)"
-  trap 'rm -rf "$asan_probe"' EXIT
-  echo 'int main(){return 0;}' > "$asan_probe/probe.cpp"
-  if "${CXX:-c++}" -fsanitize=address "$asan_probe/probe.cpp" -o "$asan_probe/probe" 2>/dev/null; then
+  if sanitizer_links address; then
     asan_build="${GBMO_CHECK_ASAN_BUILD_DIR:-$repo/build-asan}"
     cmake -B "$asan_build" -S "$repo" -DGBMO_SANITIZE=address
     cmake --build "$asan_build" -j "$(nproc)" --target gbmo_tests

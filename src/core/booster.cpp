@@ -518,14 +518,11 @@ Model GbmoBooster::fit(const data::Dataset& train, const Loss* loss_override,
     report_.per_tree_seconds.push_back(total - prev_total);
     prev_total = total;
 
-    // Validation monitoring + early stopping. The eval device carries id -1
-    // so scripted fault plans (which target device ids >= 0) never hit it —
-    // its transient retries stay functionally invisible either way.
+    // Validation monitoring + early stopping. The new tree is scored on the
+    // host: monitoring is not part of modeled training time.
     if (valid != nullptr) {
-      sim::Device eval_dev(spec_, -1);  // inference cost not part of training time
-      std::vector<float> tree_scores(valid_scores.size(), 0.0f);
-      predict_scores_device(eval_dev, {&model.trees.back(), 1}, *valid_x,
-                            tree_scores);
+      const auto tree_scores =
+          predict_scores({&model.trees.back(), 1}, *valid_x, d);
       for (std::size_t i = 0; i < valid_scores.size(); ++i) {
         valid_scores[i] += tree_scores[i];
       }

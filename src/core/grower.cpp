@@ -472,19 +472,21 @@ std::vector<SplitResult> TreeGrower::select_splits(
   if (row_partitioned_) {
     // Row-partitioned modes: histograms are replicated after the exchange,
     // so every live device evaluates the full feature set (replicated
-    // compute beats another exchange). The results are identical; keep the
-    // first live device's. Lost devices are skipped — before this fix a
-    // mid-failover call could charge (and trust) a dead device.
+    // compute beats another exchange). The results are identical, so the
+    // first live device searches and every later live device, in device
+    // order, is charged the same kernels. Lost devices are skipped.
     std::vector<SplitResult> res;
     bool have = false;
     for (int i = 0; i < group_.size(); ++i) {
       if (group_.is_lost(i)) continue;
-      auto r = find_best_splits(group_.device(i), ctx_.layout, inputs,
-                                grow_features_, cfg, split_scratch_);
-      if (!have) {
-        res = std::move(r);
-        have = true;
+      if (have) {
+        charge_split_search(group_.device(i), ctx_.layout, inputs.size(),
+                            grow_features_, cfg);
+        continue;
       }
+      res = find_best_splits(group_.device(i), ctx_.layout, inputs,
+                             grow_features_, cfg, split_scratch_);
+      have = true;
     }
     GBMO_CHECK(have) << "split selection with no live devices";
     return res;

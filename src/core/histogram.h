@@ -5,11 +5,12 @@
 // bin — plus a per-(feature, bin) instance count used to enforce the
 // min-instances constraint. The flat layout is
 //
-//   slot(f, b, k) = (feature_offset(f) + b) * n_outputs + k
+//   slot(f, b, k) = (offset(f) + b) * n_outputs + k
 //
-// i.e. the d outputs of one bin are contiguous, which is what makes the
-// multi-output update a coalesced d-wide vector add (the key advantage over
-// running d single-output learners; see DESIGN.md).
+// with offset(f) the bin count of the features before f. The d outputs of
+// one bin are contiguous, which is what makes the multi-output update a
+// coalesced d-wide vector add (the key advantage over running d
+// single-output learners; see DESIGN.md).
 //
 // Sparsity-awareness (§3.2): the bin containing the raw value 0 is never
 // accumulated directly; it is reconstructed as node_totals − Σ(other bins),
@@ -43,7 +44,6 @@ class HistogramLayout {
   int n_outputs() const { return n_outputs_; }
   std::uint32_t total_bins() const { return offsets_.empty() ? 0 : offsets_.back(); }
 
-  std::uint32_t feature_offset(std::size_t f) const { return offsets_[f]; }
   int n_bins(std::size_t f) const {
     return static_cast<int>(offsets_[f + 1] - offsets_[f]);
   }

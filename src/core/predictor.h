@@ -28,7 +28,8 @@ void update_scores_from_leaves(sim::Device& dev, const Tree& tree,
 void predict_scores_device(sim::Device& dev, std::span<const Tree> trees,
                            const data::DenseMatrix& x, std::span<float> scores);
 
-// Host-side convenience (no device accounting); used by examples/tests.
+// Host-side scoring with no device accounting: the scalar reference behind
+// Model::predict and the booster's validation scores.
 std::vector<float> predict_scores(std::span<const Tree> trees,
                                   const data::DenseMatrix& x, int n_outputs);
 

@@ -19,6 +19,48 @@ double leaf_objective(std::span<const sim::GradPair> totals, float lambda) {
   return obj;
 }
 
+namespace {
+
+// Candidate bins of a search over `n_nodes` nodes and `features`: one gain
+// per (node, feature, bin), each bin d outputs wide.
+std::size_t search_bins(const HistogramLayout& layout, std::size_t n_nodes,
+                        std::span<const std::uint32_t> features) {
+  std::size_t bins_per_node = 0;
+  for (std::uint32_t f : features) {
+    bins_per_node += static_cast<std::size_t>(layout.n_bins(f));
+  }
+  return bins_per_node * n_nodes;
+}
+
+// The segmented prefix sum across every (node, feature, output) and the
+// gain kernel over every (node, feature, bin) candidate, charged as the two
+// kernels a device runs.
+void charge_scan_and_gain(sim::Device& dev, std::size_t total_bins,
+                          std::size_t d) {
+  const std::size_t total_slots = total_bins * d;
+  sim::charge_segmented_scan(dev, total_slots);
+  sim::KernelStats s;
+  s.blocks = std::max<std::uint64_t>(1, total_bins / 256);
+  s.gmem_coalesced_bytes = total_slots * sizeof(sim::GradPair) +
+                           total_bins * (sizeof(float) + sizeof(std::uint32_t));
+  s.flops = total_slots * 6;
+  sim::charge_kernel(dev, "split_gain", s);
+}
+
+}  // namespace
+
+void charge_split_search(sim::Device& dev, const HistogramLayout& layout,
+                         std::size_t n_nodes,
+                         std::span<const std::uint32_t> features,
+                         const TrainConfig& config) {
+  if (n_nodes == 0 || features.empty()) return;
+  const std::size_t total_bins = search_bins(layout, n_nodes, features);
+  charge_scan_and_gain(dev, total_bins,
+                       static_cast<std::size_t>(layout.n_outputs()));
+  sim::charge_segmented_arg_max(dev, n_nodes * features.size(), total_bins,
+                                config.segments_per_block_c);
+}
+
 std::vector<SplitResult> find_best_splits(
     sim::Device& dev, const HistogramLayout& layout,
     std::span<const NodeSplitInput> nodes,
@@ -30,13 +72,7 @@ std::vector<SplitResult> find_best_splits(
       static_cast<std::uint32_t>(config.min_instances_per_node);
   std::vector<SplitResult> results(nodes.size());
   if (nodes.empty() || features.empty()) return results;
-
-  std::size_t bins_per_node = 0;
-  for (std::uint32_t f : features) {
-    bins_per_node += static_cast<std::size_t>(layout.n_bins(f));
-  }
-  const std::size_t total_bins = bins_per_node * nodes.size();
-  const std::size_t total_slots = total_bins * d;
+  const std::size_t total_bins = search_bins(layout, nodes.size(), features);
 
   // --- 1. one pass per (node, feature) over its bins: the running d-wide
   // left sum is that (feature, output) segment's inclusive prefix, and each
@@ -82,18 +118,8 @@ std::vector<SplitResult> find_best_splits(
     }
   }
 
-  // --- 2./3. the segmented prefix sum across every (node, feature, output)
-  // and the gain kernel over every (node, feature, bin) candidate, charged
-  // as the two kernels a device runs.
-  sim::charge_segmented_scan(dev, total_slots);
-  {
-    sim::KernelStats s;
-    s.blocks = std::max<std::uint64_t>(1, total_bins / 256);
-    s.gmem_coalesced_bytes = total_slots * sizeof(sim::GradPair) +
-                             total_bins * (sizeof(float) + sizeof(std::uint32_t));
-    s.flops = total_slots * 6;
-    sim::charge_kernel(dev, "split_gain", s);
-  }
+  // --- 2./3. the scan and gain kernels this pass stands for.
+  charge_scan_and_gain(dev, total_bins, d);
 
   // --- 4. one segmented reduction over every (node, feature) segment with
   // the adaptive segments-per-block mapping, then a per-node arg-max.

@@ -64,6 +64,15 @@ std::vector<SplitResult> find_best_splits(
     std::span<const std::uint32_t> features, const TrainConfig& config,
     SplitScratch& scratch);
 
+// Charges exactly what find_best_splits charges for `n_nodes` nodes over
+// `features` (the scan, gain and reduction kernels, in that order) without
+// searching: the row-partitioned modes search once and charge every other
+// live device the same kernels.
+void charge_split_search(sim::Device& dev, const HistogramLayout& layout,
+                         std::size_t n_nodes,
+                         std::span<const std::uint32_t> features,
+                         const TrainConfig& config);
+
 // The leaf objective −½ Σ_k G_k²/(H_k + λ) (Eq. 2 optimum); exposed for the
 // brute-force tests.
 double leaf_objective(std::span<const sim::GradPair> totals, float lambda);

@@ -11,7 +11,6 @@
 #include <iosfwd>
 #include <string>
 
-#include "data/csc.h"
 #include "data/matrix.h"
 
 namespace gbmo::data {

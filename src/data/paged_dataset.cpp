@@ -74,11 +74,6 @@ void BlockCache::stage_feature(std::size_t f,
   stage_chunks(f);
 }
 
-void BlockCache::stage_feature_all(std::size_t f) {
-  std::fill(chunk_set_.begin(), chunk_set_.end(), 1);
-  stage_chunks(f);
-}
-
 void BlockCache::stage_features(std::span<const std::uint32_t> features,
                                 std::span<const std::uint32_t> rows) {
   std::fill(chunk_set_.begin(), chunk_set_.end(), 0);

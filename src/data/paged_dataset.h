@@ -102,9 +102,6 @@ class BlockCache {
   // when the pinned working set exceeds the budget.
   void stage_feature(std::size_t f, std::span<const std::uint32_t> rows);
 
-  // Stages all of feature f's tiles (root-node / full-column reads).
-  void stage_feature_all(std::size_t f);
-
   // Batch form: computes the chunk set for `rows` once and stages it for
   // every feature in turn (pins are still per-feature, so the budget floor
   // stays one feature's working set).
@@ -112,7 +109,6 @@ class BlockCache {
                       std::span<const std::uint32_t> rows);
 
   const BlockCacheStats& stats() const { return stats_; }
-  std::size_t resident_bytes() const { return used_; }
   std::size_t budget_bytes() const { return budget_; }
 
   // Ledger account name used on the device.

@@ -15,7 +15,6 @@
 #include <span>
 #include <vector>
 
-#include "data/csc.h"
 #include "data/matrix.h"
 
 namespace gbmo::data {
@@ -100,8 +99,6 @@ class BinnedMatrix {
     GBMO_DCHECK(c < n_cols_);
     return {bins_.data() + c * n_rows_, n_rows_};
   }
-
-  std::span<const std::uint8_t> all_bins() const { return bins_; }
 
   // Packed representation: each column padded to a multiple of 4 rows and
   // stored as u32 words. Built lazily via pack().

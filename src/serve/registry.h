@@ -43,14 +43,13 @@
 
 namespace gbmo::serve {
 
-// Builder-style deployment options (mirrors core::TrainConfig / BatcherConfig).
+// Builder-style deployment options (mirrors BatcherConfig).
 struct DeployOptions {
   std::string engine = "compiled";  // make_engine name
   sim::DeviceSpec device = sim::DeviceSpec::rtx4090();
   BatcherConfig batcher{};  // sink defaults to the registry's per-model profiler
 
   DeployOptions& engine_name(std::string n) { engine = std::move(n); return *this; }
-  DeployOptions& device_spec(sim::DeviceSpec s) { device = std::move(s); return *this; }
   DeployOptions& batcher_config(BatcherConfig c) { batcher = c; return *this; }
 };
 

@@ -160,7 +160,7 @@ class BlockCheck {
   BlockCheck(const BlockCheck&) = delete;
   BlockCheck& operator=(const BlockCheck&) = delete;
 
-  // Lane/phase/barrier protocol (driven by BlockCtx::threads/warps/sync).
+  // Lane/phase/barrier protocol (driven by BlockCtx::threads/sync).
   void begin_phase(const char* site, int n_lanes);
   void set_lane(int lane) { lane_ = lane; }
   int lane() const { return lane_; }

@@ -86,7 +86,6 @@ class DeviceGroup {
   int size() const { return static_cast<int>(devices_.size()); }
   Device& device(int i) { return *devices_[static_cast<std::size_t>(i)]; }
   const LinkSpec& link() const { return link_; }
-  const LinkSpec& inter_link() const { return inter_; }
   const Topology& topology() const { return topo_; }
 
   // --- fault tolerance (sim/faults.h) --------------------------------------

@@ -45,7 +45,6 @@ DeviceSpec DeviceSpec::cpu_server() {
   DeviceSpec s;
   s.name = "CPU-server";
   s.sm_count = 1;            // cost model treats the CPU as always "occupied"
-  s.warp_size = 1;
   s.shared_mem_per_block = 32 * 1024 * 1024;  // L2/L3 stand-in; unused
   s.memory_bytes = 64ull << 30;  // per-process budget; mo-fu OOMs beyond this
   // Effective figures for a lightly-threaded tree learner with scattered

@@ -25,8 +25,6 @@ namespace gbmo::sim {
 struct DeviceSpec {
   std::string name;
   int sm_count = 128;
-  int warp_size = 32;
-  int max_threads_per_block = 1024;
   std::size_t shared_mem_per_block = 48 * 1024;
   std::size_t memory_bytes = 24ull << 30;      // device memory capacity
   double mem_bandwidth = 1.008e12;             // global memory, bytes/s
@@ -93,8 +91,6 @@ class Device {
   const std::string& kernel() const { return kernel_; }
   void set_trace_tree(int tree) { tree_ = tree; }
   void set_trace_level(int level) { level_ = level; }
-  int trace_tree() const { return tree_; }
-  int trace_level() const { return level_; }
 
   // --- fault injection (sim/faults.h) --------------------------------------
   // Launch-attempt ordinal: bumped once per sim::launch when a fault plan is
@@ -109,8 +105,9 @@ class Device {
   bool is_lost() const { return lost_.load(std::memory_order_relaxed); }
 
   // --- memory accounting ---------------------------------------------------
-  // DeviceBuffer reports allocations; exceeding the spec's capacity throws
-  // sim::OutOfDeviceMemory from the allocation site (see buffer.h).
+  // Callers report their device allocations (the booster's resident
+  // arrays, the grower's node histograms); exceeding the spec's capacity
+  // throws sim::OutOfDeviceMemory from note_alloc.
   void note_alloc(std::size_t bytes);
   void note_free(std::size_t bytes);
   std::size_t allocated_bytes() const { return allocated_; }

@@ -1,11 +1,10 @@
-// Kernel launch and block/warp/thread execution model.
+// Kernel launch and block/thread execution model.
 //
 // Kernels are written against the same decomposition as CUDA kernels:
 //
 //   sim::launch(dev, /*grid=*/n_blocks, /*block=*/256, [&](sim::BlockCtx& blk) {
 //     blk.threads([&](int tid) { ... });     // phase 1 (all threads)
 //     blk.sync();                            // __syncthreads()
-//     blk.warps([&](sim::WarpCtx& w) { ... });  // warp-cooperative phase
 //   });
 //
 // Within a block, phases execute sequentially on one host thread, which makes
@@ -52,7 +51,6 @@
 #include "sim/device.h"
 #include "sim/faults.h"
 #include "sim/scheduler.h"
-#include "sim/warp.h"
 
 namespace gbmo::sim {
 
@@ -60,12 +58,11 @@ class BlockCtx {
  public:
   // `may_commit` is false for every block after block 0 of a commit-free
   // launch.
-  BlockCtx(int block_id, int block_dim, int grid_dim, int warp_size,
-           KernelStats& stats, bool may_commit, BlockCheck* check)
+  BlockCtx(int block_id, int block_dim, int grid_dim, KernelStats& stats,
+           bool may_commit, BlockCheck* check)
       : block_id_(block_id),
         block_dim_(block_dim),
         grid_dim_(grid_dim),
-        warp_size_(warp_size),
         stats_(stats),
         may_commit_(may_commit),
         check_(check) {}
@@ -84,23 +81,6 @@ class BlockCtx {
     for (int tid = 0; tid < block_dim_; ++tid) {
       if (check_ != nullptr) check_->set_lane(tid);
       body(tid);
-    }
-    if (check_ != nullptr) check_->end_phase();
-  }
-
-  // Runs body(warp) for every warp in the block. The warp context carries
-  // lane-cooperative helpers (reductions, ballots) with their costs. The
-  // checker attributes accesses at warp granularity here (lane = warp id):
-  // intra-warp ordering is lockstep on hardware, cross-warp is not.
-  template <typename F>
-  void warps(F&& body) {
-    const int n_warps = (block_dim_ + warp_size_ - 1) / warp_size_;
-    if (check_ != nullptr) check_->begin_phase("warps", n_warps);
-    for (int w = 0; w < n_warps; ++w) {
-      const int lanes = std::min(warp_size_, block_dim_ - w * warp_size_);
-      if (check_ != nullptr) check_->set_lane(w);
-      WarpCtx ctx(w, lanes, warp_size_, stats_);
-      body(ctx);
     }
     if (check_ != nullptr) check_->end_phase();
   }
@@ -155,7 +135,6 @@ class BlockCtx {
   int block_id_;
   int block_dim_;
   int grid_dim_;
-  int warp_size_;
   KernelStats& stats_;
   bool may_commit_;
   bool committed_ = false;
@@ -192,7 +171,6 @@ LaunchResult launch(Device& dev, int grid_dim, int block_dim, Kernel&& kernel) {
   KernelStats merged;
   merged.blocks = static_cast<std::uint64_t>(grid_dim);
   merged.threads = static_cast<std::uint64_t>(grid_dim) * block_dim;
-  const int warp_size = dev.spec().warp_size;
 
   // Race/memory checker (sim/checker.h): one LaunchCheck per launch, one
   // BlockCheck per block. The kernel label is whatever KernelTag is active
@@ -209,8 +187,7 @@ LaunchResult launch(Device& dev, int grid_dim, int block_dim, Kernel&& kernel) {
     }
     std::unique_ptr<BlockCheck> bc;
     if (lc) bc = std::make_unique<BlockCheck>(*lc, b, block_dim);
-    BlockCtx blk(b, block_dim, grid_dim, warp_size, stats, may_commit,
-                 bc.get());
+    BlockCtx blk(b, block_dim, grid_dim, stats, may_commit, bc.get());
     kernel(blk);
     return blk.committed();
   };

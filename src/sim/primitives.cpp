@@ -74,61 +74,6 @@ void sort_pairs(Device& dev, std::vector<std::uint64_t>& keys,
                        3.0 * passes * dev.spec().kernel_launch_s);
 }
 
-std::size_t reduce_by_key(Device& dev, std::span<const std::uint64_t> keys,
-                          std::span<const GradPair> vals,
-                          std::vector<std::uint64_t>& out_keys,
-                          std::vector<GradPair>& out_vals) {
-  GBMO_CHECK(keys.size() == vals.size());
-  out_keys.clear();
-  out_vals.clear();
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    if (out_keys.empty() || out_keys.back() != keys[i]) {
-      out_keys.push_back(keys[i]);
-      out_vals.push_back(vals[i]);
-    } else {
-      out_vals.back() += vals[i];
-    }
-  }
-  const std::uint64_t bytes =
-      static_cast<std::uint64_t>(keys.size()) * (sizeof(std::uint64_t) + sizeof(GradPair)) +
-      static_cast<std::uint64_t>(out_keys.size()) *
-          (sizeof(std::uint64_t) + sizeof(GradPair));
-  charge_pass_bytes(dev, "reduce_by_key", bytes, keys.size());
-  return out_keys.size();
-}
-
-namespace {
-
-template <bool Inclusive>
-void scan_impl(Device& dev, std::span<const float> in, std::span<float> out) {
-  GBMO_CHECK(in.size() == out.size());
-  float running = 0.0f;
-  for (std::size_t i = 0; i < in.size(); ++i) {
-    if constexpr (Inclusive) {
-      running += in[i];
-      out[i] = running;
-    } else {
-      out[i] = running;
-      running += in[i];
-    }
-  }
-  // Work-efficient GPU scans read+write the data ~2x.
-  KernelStats s;
-  s.blocks = std::max<std::uint64_t>(1, in.size() / 256);
-  s.scan_bytes = static_cast<std::uint64_t>(in.size()) * sizeof(float) * 4;
-  charge_kernel(dev, "scan", s);
-}
-
-}  // namespace
-
-void inclusive_scan(Device& dev, std::span<const float> in, std::span<float> out) {
-  scan_impl<true>(dev, in, out);
-}
-
-void exclusive_scan(Device& dev, std::span<const float> in, std::span<float> out) {
-  scan_impl<false>(dev, in, out);
-}
-
 void segmented_inclusive_scan(Device& dev, std::span<const GradPair> values,
                               std::span<const std::uint32_t> offsets,
                               std::span<GradPair> out) {
@@ -168,7 +113,13 @@ void segmented_arg_max(Device& dev, std::span<const float> values,
     if (offsets[seg] == offsets[seg + 1]) best.value = 0.0f;  // empty segment
     out[seg] = best;
   }
+  charge_segmented_arg_max(dev, n_segments, values.size(),
+                           segments_per_block_c);
+}
 
+void charge_segmented_arg_max(Device& dev, std::size_t n_segments,
+                              std::size_t n_values,
+                              double segments_per_block_c) {
   // §3.1.3: a naive one-block-per-segment mapping pays a launch/occupancy
   // penalty on high-dimensional data; the adaptive mapping packs
   // 1 + (#segments / #SMs) * C segments per block.
@@ -178,22 +129,9 @@ void segmented_arg_max(Device& dev, std::span<const float> values,
   KernelStats s;
   s.blocks = std::max<std::uint64_t>(
       1, static_cast<std::uint64_t>(std::ceil(n_segments / spb)));
-  s.gmem_coalesced_bytes = static_cast<std::uint64_t>(values.size()) * sizeof(float);
-  s.flops = values.size();
+  s.gmem_coalesced_bytes = static_cast<std::uint64_t>(n_values) * sizeof(float);
+  s.flops = n_values;
   charge_kernel(dev, "segmented_arg_max", s);
-}
-
-ArgMax arg_max(Device& dev, std::span<const float> values) {
-  ArgMax best{-std::numeric_limits<float>::infinity(), 0};
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    if (values[i] > best.value) best = {values[i], static_cast<std::uint32_t>(i)};
-  }
-  KernelStats s;
-  s.blocks = std::max<std::uint64_t>(1, values.size() / 256);
-  s.gmem_coalesced_bytes = static_cast<std::uint64_t>(values.size()) * sizeof(float);
-  s.flops = values.size();
-  charge_kernel(dev, "arg_max", s);
-  return best;
 }
 
 }  // namespace gbmo::sim

@@ -2,12 +2,11 @@
 // sort-and-reduce histogram strategy and split finder rely on):
 //
 //   sort_pairs            — LSD radix sort of (key, payload) pairs
-//   reduce_by_key         — segment-sum over equal consecutive keys
-//   inclusive/exclusive_scan
-//   segmented_inclusive_scan — scan restarted at segment boundaries
+//   segmented_inclusive_scan — scan restarted at segment boundaries (the
+//                           reference the split finder's fused scan is
+//                           tested against)
 //   segmented_arg_max     — per-segment best (value, index) with the paper's
 //                           adaptive segments-per-block mapping (§3.1.3)
-//   arg_max               — device-wide reduction
 //
 // All primitives execute functionally on the host and charge the cost model
 // with the byte volumes of the multi-pass GPU implementations they stand for.
@@ -44,16 +43,6 @@ struct ArgMax {
 void sort_pairs(Device& dev, std::vector<std::uint64_t>& keys,
                 std::vector<std::uint32_t>& vals);
 
-// Reduces consecutive equal keys of a *sorted* sequence; returns the number
-// of unique keys written to out_keys/out_vals (resized by the callee).
-std::size_t reduce_by_key(Device& dev, std::span<const std::uint64_t> keys,
-                          std::span<const GradPair> vals,
-                          std::vector<std::uint64_t>& out_keys,
-                          std::vector<GradPair>& out_vals);
-
-void inclusive_scan(Device& dev, std::span<const float> in, std::span<float> out);
-void exclusive_scan(Device& dev, std::span<const float> in, std::span<float> out);
-
 // Scan of `values` restarted at every boundary in `offsets`
 // (offsets.size() == n_segments + 1, offsets.front() == 0,
 //  offsets.back() == values.size()).
@@ -70,7 +59,10 @@ void charge_segmented_scan(Device& dev, std::size_t n_values);
 void segmented_arg_max(Device& dev, std::span<const float> values,
                        std::span<const std::uint32_t> offsets,
                        std::span<ArgMax> out, double segments_per_block_c = 4.0);
-
-ArgMax arg_max(Device& dev, std::span<const float> values);
+// Charges exactly what segmented_arg_max charges for `n_segments` segments
+// over `n_values` values, for devices that only pay for the reduction.
+void charge_segmented_arg_max(Device& dev, std::size_t n_segments,
+                              std::size_t n_values,
+                              double segments_per_block_c);
 
 }  // namespace gbmo::sim

@@ -1,10 +1,8 @@
-// Dense matrix, labels, CSC storage (including the paper's §3.2 worked
-// example verbatim) and train/test splitting.
+// Dense matrix, labels and train/test splitting.
 #include <gtest/gtest.h>
 
 #include <sstream>
 
-#include "data/csc.h"
 #include "data/io.h"
 #include "data/matrix.h"
 
@@ -49,50 +47,6 @@ TEST(LabelsTest, SubsetPreservesTargets) {
 
 TEST(LabelsTest, RejectsOutOfRangeClassIds) {
   EXPECT_THROW(Labels::multiclass({0, 5}, 3), Error);
-}
-
-// The exact worked example from §3.2 of the paper.
-TEST(CscTest, PaperWorkedExample) {
-  DenseMatrix x(5, 5);
-  x.at(0, 2) = 3;
-  x.at(1, 0) = 2;
-  x.at(1, 4) = 7;
-  x.at(2, 1) = 6;
-  x.at(4, 0) = 1;
-  x.at(4, 4) = 8;
-
-  const auto csc = CscMatrix::from_dense(x);
-  EXPECT_EQ(std::vector<float>(csc.values().begin(), csc.values().end()),
-            (std::vector<float>{2, 1, 6, 3, 7, 8}));
-  EXPECT_EQ(std::vector<std::uint32_t>(csc.row_indices().begin(),
-                                       csc.row_indices().end()),
-            (std::vector<std::uint32_t>{1, 4, 2, 0, 1, 4}));
-  EXPECT_EQ(std::vector<std::uint32_t>(csc.col_pointers().begin(),
-                                       csc.col_pointers().end()),
-            (std::vector<std::uint32_t>{0, 2, 3, 4, 4, 6}));
-  EXPECT_EQ(csc.nnz(), 6u);
-}
-
-TEST(CscTest, RoundTripAndRandomAccess) {
-  DenseMatrix x(4, 3);
-  x.at(0, 0) = 1.5f;
-  x.at(3, 2) = -2.0f;
-  x.at(2, 1) = 4.0f;
-  const auto csc = CscMatrix::from_dense(x);
-  const auto back = csc.to_dense();
-  for (std::size_t r = 0; r < 4; ++r) {
-    for (std::size_t c = 0; c < 3; ++c) {
-      EXPECT_FLOAT_EQ(back.at(r, c), x.at(r, c));
-      EXPECT_FLOAT_EQ(csc.at(r, c), x.at(r, c));
-    }
-  }
-}
-
-TEST(CscTest, ValidatesArrays) {
-  // Decreasing row indices within a column must be rejected.
-  EXPECT_THROW(CscMatrix(3, 1, {1.0f, 2.0f}, {2, 1}, {0, 2}), Error);
-  // Column pointer past the end must be rejected.
-  EXPECT_THROW(CscMatrix(3, 1, {1.0f}, {0}, {0, 2}), Error);
 }
 
 TEST(SplitDatasetTest, PartitionsAllInstances) {

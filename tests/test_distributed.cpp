@@ -136,6 +136,9 @@ struct PinnedCharges {
   std::uint64_t vote_rounds;
   std::uint64_t vote_misses;
   std::uint64_t events;
+  // Per device: modeled_seconds is only their maximum, so a charge moved
+  // onto a less busy device would not show there.
+  double device_seconds[4];
 };
 
 // Trains every pinned case on a 2x2 topology under `faults`: each model must
@@ -170,6 +173,9 @@ void expect_pinned_charges(std::span<const PinnedCharges> pins,
     EXPECT_EQ(r.vote_rounds, pin.vote_rounds);
     EXPECT_EQ(r.vote_misses, pin.vote_misses);
     EXPECT_EQ(prof.total_events(), pin.events);
+    for (int i = 0; i < 4; ++i) {
+      EXPECT_EQ(prof.device_seconds(i), pin.device_seconds[i]) << "device " << i;
+    }
   }
 }
 
@@ -313,29 +319,53 @@ TEST(DistributedFast, PinnedChargesPerModeGrowthAndEfb) {
   using core::MultiGpuMode;
   static constexpr PinnedCharges kPins[] = {
       {MultiGpuMode::kFeatureParallel, GrowthPolicy::kLevelWise, false,
-       0x1.0d52c27f16fefp-8, 6852, 3426, 0, 0, 1400},
+       0x1.0d52c27f16fefp-8, 6852, 3426, 0, 0, 1400,
+       {0x1.0d52c27f16fefp-8, 0x1.c3fef30e6948fp-9,
+        0x1.bfa9d864561d8p-9, 0x1.bef0fefcd7922p-9}},
       {MultiGpuMode::kFeatureParallel, GrowthPolicy::kLevelWise, true,
-       0x1.2f0ce721cd54ep-8, 6852, 3426, 0, 0, 1548},
+       0x1.2f0ce721cd54ep-8, 6852, 3426, 0, 0, 1548,
+       {0x1.2f0ce721cd54ep-8, 0x1.fdc6d1e69a0d1p-9,
+        0x1.fa18bf9c0fdeap-9, 0x1.e872cdac0304ep-9}},
       {MultiGpuMode::kFeatureParallel, GrowthPolicy::kLeafWise, false,
-       0x1.2e46878e84396p-8, 6858, 3429, 0, 0, 1619},
+       0x1.2e46878e84396p-8, 6858, 3429, 0, 0, 1619,
+       {0x1.2e46878e84396p-8, 0x1.0298fd1b3cf97p-8,
+        0x1.fc4bf8283c9f6p-9, 0x1.fcb9c19ae5ef7p-9}},
       {MultiGpuMode::kFeatureParallel, GrowthPolicy::kLeafWise, true,
-       0x1.457d0d66f5b74p-8, 6858, 3429, 0, 0, 1767},
+       0x1.457d0d66f5b74p-8, 6858, 3429, 0, 0, 1767,
+       {0x1.457d0d66f5b74p-8, 0x1.1415d597de6aap-8,
+        0x1.12d463828b39ep-8, 0x1.097a9c5bd6fep-8}},
       {MultiGpuMode::kDataParallel, GrowthPolicy::kLevelWise, false,
-       0x1.c5a0c461a8839p-8, 2575440, 1287720, 0, 0, 1679},
+       0x1.c5a0c461a8839p-8, 2575440, 1287720, 0, 0, 1679,
+       {0x1.c5a0c461a8839p-8, 0x1.822c1256223f9p-8,
+        0x1.8249bf852156ep-8, 0x1.828c0252ac372p-8}},
       {MultiGpuMode::kDataParallel, GrowthPolicy::kLevelWise, true,
-       0x1.d4ff26e8382aep-8, 2575440, 1287720, 0, 0, 1827},
+       0x1.d4ff26e8382aep-8, 2575440, 1287720, 0, 0, 1827,
+       {0x1.d4ff26e8382aep-8, 0x1.918507b72a343p-8,
+        0x1.91ae36e2814efp-8, 0x1.91e7b45d1dff5p-8}},
       {MultiGpuMode::kDataParallel, GrowthPolicy::kLeafWise, false,
-       0x1.ce7ad83779b6bp-8, 2575440, 1287720, 0, 0, 1741},
+       0x1.ce7ad83779b6bp-8, 2575440, 1287720, 0, 0, 1741,
+       {0x1.ce7ad83779b6bp-8, 0x1.83468fb05466bp-8,
+        0x1.836ed65656c74p-8, 0x1.8382bd425edd7p-8}},
       {MultiGpuMode::kDataParallel, GrowthPolicy::kLeafWise, true,
-       0x1.db7fc4b31dc83p-8, 2575440, 1287720, 0, 0, 1889},
+       0x1.db7fc4b31dc83p-8, 2575440, 1287720, 0, 0, 1889,
+       {0x1.db7fc4b31dc83p-8, 0x1.9040ab10fab16p-8,
+        0x1.9083ae9a44597p-8, 0x1.9088a7faa7e26p-8}},
       {MultiGpuMode::kVotingParallel, GrowthPolicy::kLevelWise, false,
-       0x1.3914cf075e344p-8, 2575440, 534016, 35, 17, 1399},
+       0x1.3914cf075e344p-8, 2575440, 534016, 35, 17, 1399,
+       {0x1.3914cf075e344p-8, 0x1.eb4039f7afe03p-9,
+        0x1.eb7b9455ae0e6p-9, 0x1.ec0019f0c3cf7p-9}},
       {MultiGpuMode::kVotingParallel, GrowthPolicy::kLevelWise, true,
-       0x1.4873318deddbbp-8, 2575440, 534016, 35, 17, 1547},
+       0x1.4873318deddbbp-8, 2575440, 534016, 35, 17, 1547,
+       {0x1.4873318deddbbp-8, 0x1.04f9125cdfe4bp-8,
+        0x1.0522418836ff5p-8, 0x1.055bbf02d3affp-8}},
       {MultiGpuMode::kVotingParallel, GrowthPolicy::kLeafWise, false,
-       0x1.3ed73ce17a558p-8, 2575440, 239104, 35, 12, 1461},
+       0x1.3ed73ce17a558p-8, 2575440, 239104, 35, 12, 1461,
+       {0x1.3ed73ce17a558p-8, 0x1.e745e8b4aa0a2p-9,
+        0x1.e7967600aecacp-9, 0x1.e7be43d8bef75p-9}},
       {MultiGpuMode::kVotingParallel, GrowthPolicy::kLeafWise, true,
-       0x1.4bdc295d1e66fp-8, 2575440, 239104, 35, 12, 1609},
+       0x1.4bdc295d1e66fp-8, 2575440, 239104, 35, 12, 1609,
+       {0x1.4bdc295d1e66fp-8, 0x1.009d0fbafb4ffp-8,
+        0x1.00e0134444f7bp-8, 0x1.00e50ca4a8809p-8}},
   };
   expect_pinned_charges(kPins, "");
 }
@@ -415,29 +445,53 @@ TEST(DistributedChaos, NodeKillFailoverBitwise) {
   using core::MultiGpuMode;
   static constexpr PinnedCharges kPins[] = {
       {MultiGpuMode::kFeatureParallel, GrowthPolicy::kLevelWise, false,
-       0x1.8589e7e162f54p-9, 4213, 787, 0, 0, 798},
+       0x1.8589e7e162f54p-9, 4213, 787, 0, 0, 798,
+       {0x1.8589e7e162f54p-9, 0x1.26d7a6c446098p-9,
+        0x1.ecb89c8019327p-11, 0x1.eb35ea46c1fd9p-11}},
       {MultiGpuMode::kFeatureParallel, GrowthPolicy::kLevelWise, true,
-       0x1.c18cf67a9c9bap-9, 4213, 787, 0, 0, 892},
+       0x1.c18cf67a9c9bap-9, 4213, 787, 0, 0, 892,
+       {0x1.c18cf67a9c9bap-9, 0x1.621708d22b534p-9,
+        0x1.1690b421c065fp-10, 0x1.0e7002e279f11p-10}},
       {MultiGpuMode::kFeatureParallel, GrowthPolicy::kLeafWise, false,
-       0x1.a1b6c57381d8cp-9, 4216, 787, 0, 0, 905},
+       0x1.a1b6c57381d8cp-9, 4216, 787, 0, 0, 905,
+       {0x1.a1b6c57381d8cp-9, 0x1.3e7619ef2cb13p-9,
+        0x1.0383c6ff15761p-10, 0x1.03a19138df897p-10}},
       {MultiGpuMode::kFeatureParallel, GrowthPolicy::kLeafWise, true,
-       0x1.c850dc92f9938p-9, 4216, 787, 0, 0, 999},
+       0x1.c850dc92f9938p-9, 4216, 787, 0, 0, 999,
+       {0x1.c850dc92f9938p-9, 0x1.67c1202fb3ce2p-9,
+        0x1.184d57667ce3p-10, 0x1.0fa7a28fc95c3p-10}},
       {MultiGpuMode::kDataParallel, GrowthPolicy::kLevelWise, false,
-       0x1.1b3b6090befep-8, 1655640, 331128, 0, 0, 1030},
+       0x1.1b3b6090befep-8, 1655640, 331128, 0, 0, 1030,
+       {0x1.1b3b6090befep-8, 0x1.aca52aa76ccd6p-9,
+        0x1.acc1bd0d28588p-10, 0x1.ac332ba57dae2p-10}},
       {MultiGpuMode::kDataParallel, GrowthPolicy::kLevelWise, true,
-       0x1.2e8dab4d32bb6p-8, 1655640, 331128, 0, 0, 1130},
+       0x1.2e8dab4d32bb6p-8, 1655640, 331128, 0, 0, 1130,
+       {0x1.2e8dab4d32bb6p-8, 0x1.d381702d43ec9p-9,
+        0x1.bf692a9794914p-10, 0x1.bea4e7a7d7dd8p-10}},
       {MultiGpuMode::kDataParallel, GrowthPolicy::kLeafWise, false,
-       0x1.2271f078801dap-8, 1655640, 331128, 0, 0, 1074},
+       0x1.2271f078801dap-8, 1655640, 331128, 0, 0, 1074,
+       {0x1.2271f078801dap-8, 0x1.abd56fd86b2c8p-9,
+        0x1.a96c6a49d72cbp-10, 0x1.a89caa526d46ep-10}},
       {MultiGpuMode::kDataParallel, GrowthPolicy::kLeafWise, true,
-       0x1.31c976254c23dp-8, 1655640, 331128, 0, 0, 1174},
+       0x1.31c976254c23dp-8, 1655640, 331128, 0, 0, 1174,
+       {0x1.31c976254c23dp-8, 0x1.cac50d705e8e7p-9,
+        0x1.b8e8352467204p-10, 0x1.b807e0fe2e21fp-10}},
       {MultiGpuMode::kVotingParallel, GrowthPolicy::kLevelWise, false,
-       0x1.d4c73ccfa03dep-9, 1655640, 195840, 36, 11, 906},
+       0x1.d4c73ccfa03dep-9, 1655640, 195840, 36, 11, 906,
+       {0x1.d4c73ccfa03dep-9, 0x1.4af5a6558f0fap-9,
+        0x1.1ea626f3bcc8p-10, 0x1.1e17958c121dbp-10}},
       {MultiGpuMode::kVotingParallel, GrowthPolicy::kLevelWise, true,
-       0x1.fb6bd24887b84p-9, 1655640, 195840, 36, 11, 1006},
+       0x1.fb6bd24887b84p-9, 1655640, 195840, 36, 11, 1006,
+       {0x1.fb6bd24887b84p-9, 0x1.71d1ebdb662e4p-9,
+        0x1.314d947e2900ap-10, 0x1.3089518e6c4cfp-10}},
       {MultiGpuMode::kVotingParallel, GrowthPolicy::kLeafWise, false,
-       0x1.e0eefeba4983ep-9, 1655640, 87552, 36, 9, 950},
+       0x1.e0eefeba4983ep-9, 1655640, 87552, 36, 9, 950,
+       {0x1.e0eefeba4983ep-9, 0x1.47e08da1b4759p-9,
+        0x1.16c61866b9a99p-10, 0x1.15f6586f4fc3fp-10}},
       {MultiGpuMode::kVotingParallel, GrowthPolicy::kLeafWise, true,
-       0x1.ff9e0a13e1907p-9, 1655640, 87552, 36, 9, 1050},
+       0x1.ff9e0a13e1907p-9, 1655640, 87552, 36, 9, 1050,
+       {0x1.ff9e0a13e1907p-9, 0x1.66d02b39a7d6fp-9,
+        0x1.2641e341499dp-10, 0x1.25618f1b109ecp-10}},
   };
   expect_pinned_charges(kPins, "kill-node=2@25");
 }

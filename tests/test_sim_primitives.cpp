@@ -3,7 +3,6 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <numeric>
 
 #include "common/rng.h"
 #include "sim/primitives.h"
@@ -49,51 +48,6 @@ INSTANTIATE_TEST_SUITE_P(
                        ::testing::Values(std::uint64_t{0xFF}, std::uint64_t{0xFFFF},
                                          std::uint64_t{0xFFFFFFFFull})));
 
-TEST(ReduceByKey, SumsRuns) {
-  Device dev(DeviceSpec::rtx4090());
-  std::vector<std::uint64_t> keys = {1, 1, 1, 4, 4, 9};
-  std::vector<GradPair> vals = {{1, 1}, {2, 2}, {3, 3}, {10, 1}, {20, 2}, {5, 5}};
-  std::vector<std::uint64_t> out_keys;
-  std::vector<GradPair> out_vals;
-  const auto n = reduce_by_key(dev, keys, vals, out_keys, out_vals);
-  ASSERT_EQ(n, 3u);
-  EXPECT_EQ(out_keys, (std::vector<std::uint64_t>{1, 4, 9}));
-  EXPECT_FLOAT_EQ(out_vals[0].g, 6.0f);
-  EXPECT_FLOAT_EQ(out_vals[0].h, 6.0f);
-  EXPECT_FLOAT_EQ(out_vals[1].g, 30.0f);
-  EXPECT_FLOAT_EQ(out_vals[2].h, 5.0f);
-}
-
-TEST(ReduceByKey, EmptyInput) {
-  Device dev(DeviceSpec::rtx4090());
-  std::vector<std::uint64_t> out_keys;
-  std::vector<GradPair> out_vals;
-  EXPECT_EQ(reduce_by_key(dev, {}, {}, out_keys, out_vals), 0u);
-}
-
-class ScanTest : public ::testing::TestWithParam<int> {};
-
-TEST_P(ScanTest, MatchesPartialSum) {
-  const int n = GetParam();
-  Rng rng(7);
-  std::vector<float> in(static_cast<std::size_t>(n));
-  for (auto& v : in) v = rng.uniform(-1.0f, 1.0f);
-  std::vector<float> incl(in.size()), excl(in.size());
-
-  Device dev(DeviceSpec::rtx4090());
-  inclusive_scan(dev, in, incl);
-  exclusive_scan(dev, in, excl);
-
-  float running = 0.0f;
-  for (int i = 0; i < n; ++i) {
-    EXPECT_FLOAT_EQ(excl[static_cast<std::size_t>(i)], running);
-    running += in[static_cast<std::size_t>(i)];
-    EXPECT_FLOAT_EQ(incl[static_cast<std::size_t>(i)], running);
-  }
-}
-
-INSTANTIATE_TEST_SUITE_P(Sweep, ScanTest, ::testing::Values(0, 1, 3, 257, 10000));
-
 TEST(SegmentedScan, RestartsAtBoundaries) {
   Device dev(DeviceSpec::rtx4090());
   std::vector<GradPair> values = {{1, 1}, {1, 1}, {1, 1}, {2, 0}, {2, 0}};
@@ -130,14 +84,6 @@ TEST(SegmentedArgMax, ResultIndependentOfBlockMappingC) {
   for (int i = 0; i < 4; ++i) {
     EXPECT_EQ(a[static_cast<std::size_t>(i)].index, b[static_cast<std::size_t>(i)].index);
   }
-}
-
-TEST(ArgMaxGlobal, FindsMax) {
-  Device dev(DeviceSpec::rtx4090());
-  std::vector<float> values = {1.0f, 5.0f, 3.0f, 5.0f};
-  const auto best = arg_max(dev, values);
-  EXPECT_EQ(best.index, 1u);  // first of the ties
-  EXPECT_FLOAT_EQ(best.value, 5.0f);
 }
 
 }  // namespace
