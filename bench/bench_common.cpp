@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "common/timer.h"
+#include "core/model_io.h"
 #include "obs/profiler.h"
 #include "sim/scheduler.h"
 
@@ -20,6 +21,12 @@ namespace {
 const char* trace_dir() { return std::getenv("GBMO_TRACE_DIR"); }
 
 }  // namespace
+
+std::string serialize_model(const core::Model& model) {
+  std::ostringstream os;
+  core::write_model(os, model);
+  return os.str();
+}
 
 const data::TrainTestSplit& replica_split(const data::ReplicaSpec& spec) {
   static std::map<std::string, std::unique_ptr<data::TrainTestSplit>> cache;

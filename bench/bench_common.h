@@ -13,8 +13,11 @@
 //            launch-overhead-bound cases).
 #pragma once
 
+#include <cstdlib>
+#include <cstring>
 #include <map>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -35,6 +38,25 @@ inline core::TrainConfig paper_config() {
   cfg.max_bins = 256;
   return cfg;
 }
+
+// The value after `key` on the command line, else `fallback`. The fallback's
+// type picks the parse: integers through strtoull, floating point through
+// strtod.
+template <typename T>
+T arg_or(int argc, char** argv, const char* key, T fallback) {
+  for (int i = 1; i + 1 < argc; ++i) {
+    if (std::strcmp(argv[i], key) != 0) continue;
+    if constexpr (std::is_floating_point_v<T>) {
+      return static_cast<T>(std::strtod(argv[i + 1], nullptr));
+    } else {
+      return static_cast<T>(std::strtoull(argv[i + 1], nullptr, 10));
+    }
+  }
+  return fallback;
+}
+
+// The model file's text; bitwise-identity gates compare two of these.
+std::string serialize_model(const core::Model& model);
 
 // Cached replica generation + 80/20 split per dataset name.
 const data::TrainTestSplit& replica_split(const data::ReplicaSpec& spec);

@@ -15,9 +15,6 @@
 // Args (for smoke runs): --rows N --features N --outputs N --trees N
 //                        --depth N --bins N --voting-k K
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -25,30 +22,16 @@
 #include "common/table.h"
 #include "common/timer.h"
 #include "core/booster.h"
-#include "core/model_io.h"
 #include "data/synthetic.h"
 
 namespace {
 
 using gbmo::TextTable;
 using gbmo::WallTimer;
+using gbmo::bench::arg_or;
+using gbmo::bench::serialize_model;
 using gbmo::bench::JsonReport;
 using gbmo::bench::progress;
-
-std::size_t arg_or(int argc, char** argv, const char* key, std::size_t fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], key) == 0) {
-      return static_cast<std::size_t>(std::strtoull(argv[i + 1], nullptr, 10));
-    }
-  }
-  return fallback;
-}
-
-std::string serialize(const gbmo::core::Model& model) {
-  std::ostringstream os;
-  gbmo::core::write_model(os, model);
-  return os.str();
-}
 
 }  // namespace
 
@@ -80,7 +63,7 @@ int main(int argc, char** argv) {
   progress("single-device reference");
   gbmo::core::GbmoBooster ref_booster(cfg);
   const auto ref_model = ref_booster.fit(train);
-  const std::string ref_serialized = serialize(ref_model);
+  const std::string ref_serialized = serialize_model(ref_model);
   const double ref_modeled = ref_booster.report().modeled_seconds;
 
   struct Mode {
@@ -127,7 +110,7 @@ int main(int argc, char** argv) {
       const double host = timer.seconds();
       const auto& report = booster.report();
 
-      const bool identical = serialize(model) == ref_serialized;
+      const bool identical = serialize_model(model) == ref_serialized;
       all_identical = all_identical && identical;
       if (m.mode == gbmo::core::MultiGpuMode::kDataParallel) {
         data_inter = report.comm_inter_bytes;

@@ -23,7 +23,6 @@
 #include "common/table.h"
 #include "common/timer.h"
 #include "core/booster.h"
-#include "core/model_io.h"
 #include "data/synthetic.h"
 #include "obs/profiler.h"
 
@@ -31,17 +30,10 @@ namespace {
 
 using gbmo::TextTable;
 using gbmo::WallTimer;
+using gbmo::bench::arg_or;
+using gbmo::bench::serialize_model;
 using gbmo::bench::JsonReport;
 using gbmo::bench::progress;
-
-std::size_t arg_or(int argc, char** argv, const char* key, std::size_t fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], key) == 0) {
-      return static_cast<std::size_t>(std::strtoull(argv[i + 1], nullptr, 10));
-    }
-  }
-  return fallback;
-}
 
 std::vector<double> rates_arg(int argc, char** argv) {
   std::vector<double> rates = {0.0, 0.01, 0.05};
@@ -54,12 +46,6 @@ std::vector<double> rates_arg(int argc, char** argv) {
     }
   }
   return rates;
-}
-
-std::string serialize(const gbmo::core::Model& model) {
-  std::ostringstream os;
-  gbmo::core::write_model(os, model);
-  return os.str();
 }
 
 }  // namespace
@@ -120,7 +106,7 @@ int main(int argc, char** argv) {
 
     const auto it = report.phase_seconds.find("retry");
     const double retry_s = it == report.phase_seconds.end() ? 0.0 : it->second;
-    const std::string serialized = serialize(model);
+    const std::string serialized = serialize_model(model);
     if (rate == rates.front() || baseline_model.empty()) {
       baseline_model = serialized;
       baseline_modeled = report.modeled_seconds;

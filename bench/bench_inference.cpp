@@ -17,7 +17,6 @@
 //                        --trees N --depth N --repeat N
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <string>
@@ -35,17 +34,9 @@ namespace {
 
 using gbmo::TextTable;
 using gbmo::WallTimer;
+using gbmo::bench::arg_or;
 using gbmo::bench::JsonReport;
 using gbmo::bench::progress;
-
-std::size_t arg_or(int argc, char** argv, const char* key, std::size_t fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], key) == 0) {
-      return static_cast<std::size_t>(std::strtoull(argv[i + 1], nullptr, 10));
-    }
-  }
-  return fallback;
-}
 
 }  // namespace
 

@@ -15,9 +15,6 @@
 // Args (for smoke runs): --rows N --features N --outputs N --trees N
 //                        --depth N --bins N --chunk-rows N
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -25,7 +22,6 @@
 #include "common/table.h"
 #include "common/timer.h"
 #include "core/booster.h"
-#include "core/model_io.h"
 #include "data/paged_dataset.h"
 #include "data/quantize.h"
 #include "data/synthetic.h"
@@ -34,23 +30,10 @@ namespace {
 
 using gbmo::TextTable;
 using gbmo::WallTimer;
+using gbmo::bench::arg_or;
+using gbmo::bench::serialize_model;
 using gbmo::bench::JsonReport;
 using gbmo::bench::progress;
-
-std::size_t arg_or(int argc, char** argv, const char* key, std::size_t fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], key) == 0) {
-      return static_cast<std::size_t>(std::strtoull(argv[i + 1], nullptr, 10));
-    }
-  }
-  return fallback;
-}
-
-std::string serialize(const gbmo::core::Model& model) {
-  std::ostringstream os;
-  gbmo::core::write_model(os, model);
-  return os.str();
-}
 
 }  // namespace
 
@@ -83,7 +66,7 @@ int main(int argc, char** argv) {
   WallTimer baseline_timer;
   const auto baseline_model = baseline_booster.fit(train);
   const double baseline_host = baseline_timer.seconds();
-  const std::string baseline_serialized = serialize(baseline_model);
+  const std::string baseline_serialized = serialize_model(baseline_model);
   const double baseline_modeled = baseline_booster.report().modeled_seconds;
 
   // Derive the budget ladder from the actual tile footprint training sees
@@ -138,7 +121,7 @@ int main(int argc, char** argv) {
 
     const auto it = report.phase_seconds.find("page");
     const double page_s = it == report.phase_seconds.end() ? 0.0 : it->second;
-    const bool identical = serialize(model) == baseline_serialized;
+    const bool identical = serialize_model(model) == baseline_serialized;
     all_identical = all_identical && identical;
     // Descending budgets: modeled time must never decrease rung to rung.
     // The unbounded rung skips in-core's bulk h2d transfer, so it is only

@@ -30,7 +30,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
 #include <limits>
 #include <map>
@@ -49,24 +48,9 @@ namespace {
 
 using gbmo::TextTable;
 using gbmo::WallTimer;
+using gbmo::bench::arg_or;
 using gbmo::bench::JsonReport;
 using gbmo::bench::progress;
-
-std::size_t arg_or(int argc, char** argv, const char* key, std::size_t fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], key) == 0) {
-      return static_cast<std::size_t>(std::strtoull(argv[i + 1], nullptr, 10));
-    }
-  }
-  return fallback;
-}
-
-double arg_or_f(int argc, char** argv, const char* key, double fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], key) == 0) return std::strtod(argv[i + 1], nullptr);
-  }
-  return fallback;
-}
 
 std::shared_ptr<const gbmo::core::Model> train_model(std::size_t rows,
                                                      std::size_t features,
@@ -107,7 +91,7 @@ int main(int argc, char** argv) {
   const int trees = static_cast<int>(arg_or(argc, argv, "--trees", 12));
   const int depth = static_cast<int>(arg_or(argc, argv, "--depth", 4));
   const std::size_t batch = arg_or(argc, argv, "--batch", 32);
-  const double delay_ms = arg_or_f(argc, argv, "--delay-ms", 0.3);
+  const double delay_ms = arg_or(argc, argv, "--delay-ms", 0.3);
   const std::size_t queue = arg_or(argc, argv, "--queue", 4096);
 
   std::printf("== Multi-tenant serve load: %zu models, %zu clients x %zu requests ==\n",

@@ -17,9 +17,7 @@
 // Args (for smoke runs): --rows N --features N --cats N --queries N
 //                        --docs-per-query N --trees N --depth N --bins N
 #include <cstdio>
-#include <cstdlib>
 #include <cstring>
-#include <sstream>
 #include <string>
 #include <vector>
 
@@ -28,30 +26,16 @@
 #include "common/timer.h"
 #include "core/booster.h"
 #include "core/metrics.h"
-#include "core/model_io.h"
 #include "data/synthetic.h"
 
 namespace {
 
 using gbmo::TextTable;
 using gbmo::WallTimer;
+using gbmo::bench::arg_or;
+using gbmo::bench::serialize_model;
 using gbmo::bench::JsonReport;
 using gbmo::bench::progress;
-
-std::size_t arg_or(int argc, char** argv, const char* key, std::size_t fallback) {
-  for (int i = 1; i + 1 < argc; ++i) {
-    if (std::strcmp(argv[i], key) == 0) {
-      return static_cast<std::size_t>(std::strtoull(argv[i + 1], nullptr, 10));
-    }
-  }
-  return fallback;
-}
-
-std::string serialize(const gbmo::core::Model& model) {
-  std::ostringstream os;
-  gbmo::core::write_model(os, model);
-  return os.str();
-}
 
 struct Mode {
   const char* label;
@@ -180,7 +164,7 @@ int main(int argc, char** argv) {
       const double host = timer.seconds();
       const auto& report = booster.report();
 
-      const std::string bytes = serialize(model);
+      const std::string bytes = serialize_model(model);
       if (reference.empty()) reference = bytes;
       const bool identical = bytes == reference;
       all_identical = all_identical && identical;

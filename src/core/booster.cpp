@@ -11,7 +11,6 @@
 #include "core/model_io.h"
 #include "data/bundling.h"
 #include "data/paged_dataset.h"
-#include "data/sketch.h"
 #include "sim/cost_model.h"
 #include "sim/faults.h"
 #include "sim/launch.h"
@@ -137,11 +136,6 @@ Model GbmoBooster::fit(const data::Dataset& train, const Loss* loss_override,
   const int d = train.n_outputs();
   GBMO_CHECK(n > 0 && d >= 1);
 
-  // Arm the race/memory checker in report mode unless a stronger
-  // process-wide mode (env or set_sim_check) is already active.
-  if (config_.sim_check && !sim::sim_check_enabled()) {
-    sim::set_sim_check(sim::CheckMode::kReport);
-  }
   // Config-level fault plan and scheduler width, scoped to this fit (0
   // threads keeps the process default; results are identical either way).
   FitScope fit_scope(config_);
@@ -183,25 +177,7 @@ Model GbmoBooster::fit(const data::Dataset& train, const Loss* loss_override,
   const data::DenseMatrix& x_train = *train_x;
 
   const bool out_of_core = config_.out_of_core_enabled();
-  data::BinCuts cuts;
-  if (out_of_core) {
-    // Streaming ingest (DESIGN.md §12): bin cuts from one pass of mergeable
-    // quantile sketches over row chunks. In the sketch's exact regime (the
-    // default) the cuts are bitwise-equal to BinCuts::build, which is what
-    // makes every downstream artifact — bins, histograms, trees — identical
-    // to in-core training.
-    const std::size_t chunk_rows =
-        config_.stream_chunk_rows > 0
-            ? static_cast<std::size_t>(config_.stream_chunk_rows)
-            : n;
-    data::SketchSet sketches(train.n_features(), config_.max_bins);
-    for (std::size_t start = 0; start < n; start += chunk_rows) {
-      sketches.add_rows(x_train, start, std::min(n, start + chunk_rows));
-    }
-    cuts = sketches.finalize();
-  } else {
-    cuts = data::BinCuts::build(x_train, config_.max_bins);
-  }
+  const data::BinCuts cuts = data::BinCuts::build(x_train, config_.max_bins);
   data::BinnedMatrix binned(x_train, cuts);
   if (config_.warp_opt) binned.pack();
 
@@ -575,6 +551,7 @@ Model GbmoBooster::fit(const data::Dataset& train, const Loss* loss_override,
   report_.comm_inter_bytes = group.inter_traffic_bytes();
   report_.vote_rounds = grower.vote_rounds();
   report_.vote_misses = grower.vote_misses();
+  report_.devices_lost = group.size() - group.n_alive();
   report_.final_train_loss = loss->value(scores, train.y);
   for (int i = 0; i < group.size(); ++i) {
     report_.peak_device_bytes =

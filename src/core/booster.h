@@ -89,6 +89,10 @@ struct TrainReport {
   // canonical best feature was not among the globally-elected columns.
   std::uint64_t vote_rounds = 0;
   std::uint64_t vote_misses = 0;
+  // Devices permanently lost during the fit (kill= / kill-node= faults):
+  // the group size minus the devices still alive at the end. Training
+  // failed over to the survivors, so the model is unchanged.
+  int devices_lost = 0;
 
   // Extrapolates the modeled time to `n_trees` from the steady-state
   // per-tree cost (tree time is constant across boosting rounds: every tree

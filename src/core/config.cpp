@@ -122,10 +122,6 @@ void validate_train_config(const TrainConfig& config) {
       }
     }
   }
-  if (config.max_device_mb < 0) {
-    fail("max_device_mb must be >= 0 (got " +
-         std::to_string(config.max_device_mb) + ")");
-  }
   if (config.stream_chunk_rows < 0) {
     fail("stream_chunk_rows must be >= 0 (got " +
          std::to_string(config.stream_chunk_rows) + ")");

@@ -123,14 +123,6 @@ struct TrainConfig {
   // bit-identical for every value (see sim/launch.h).
   int sim_threads = 0;
 
-  // Arm the substrate's race & memory checker for this run (sim/checker.h):
-  // shared-memory race, OOB/uninitialized-read and barrier-divergence
-  // detection through the checked accessor views, reported per kernel via
-  // the obs Profiler. Equivalent to --sim-check / GBMO_SIM_CHECK=1; a
-  // process-wide sim::set_sim_check(CheckMode::kFail) override (the tests'
-  // hard-fail mode) is never downgraded by this flag.
-  bool sim_check = false;
-
   // Stochastic boosting (extensions beyond the paper's evaluation setup;
   // both default off = the paper's configuration):
   double subsample = 1.0;          // row fraction sampled per tree
@@ -147,31 +139,23 @@ struct TrainConfig {
   // spec arms the plan for the duration of fit().
   std::string faults{};
 
-  // --- out-of-core streaming (DESIGN.md §12) -------------------------------
-  // Device-memory budget for the bin-packed feature-block cache, in MiB
-  // (0 = in-core: the whole binned matrix is device-resident up front).
-  // When set, the binned matrix stays in simulated host memory and
-  // (feature, row-chunk) tiles are staged into a bounded LRU block cache on
-  // demand, every transfer charged to the cost model; models are bitwise
-  // identical to in-core training at any budget. A budget too small for even
-  // one feature's working set hard-fails with sim::DeviceBudgetExceeded.
-  int max_device_mb = 0;
-  // Same budget in bytes; takes precedence over max_device_mb when nonzero
-  // (tests and benches need sub-MiB budgets).
+  // --- out-of-core training (DESIGN.md §12) --------------------------------
+  // Device-memory budget for the bin-packed feature-block cache, in bytes
+  // (0 = unbounded; --max-device-mb N sets N MiB). In out-of-core mode the
+  // binned matrix stays in simulated host memory and (feature, row-chunk)
+  // tiles are staged into a bounded LRU block cache on demand, every
+  // transfer charged to the cost model; models are bitwise identical to
+  // in-core training at any budget. A budget too small for even one
+  // feature's working set hard-fails with sim::DeviceBudgetExceeded.
   std::uint64_t device_budget_bytes = 0;
-  // Row-chunk size for streaming ingest and tile granularity (0 = one chunk
-  // spanning all rows). Also the chunk size used when building bin cuts from
-  // the streaming quantile sketch.
+  // Tile height in rows: the row-chunk size of the paged tiles (0 = one
+  // chunk spanning all rows).
   int stream_chunk_rows = 0;
 
+  // Either field turns out-of-core mode on (0 for both = in-core: the whole
+  // binned matrix is device-resident up front).
   bool out_of_core_enabled() const {
-    return max_device_mb > 0 || device_budget_bytes > 0 ||
-           stream_chunk_rows > 0;
-  }
-  // Effective block-cache budget in bytes (0 = unbounded).
-  std::uint64_t block_cache_budget_bytes() const {
-    if (device_budget_bytes > 0) return device_budget_bytes;
-    return static_cast<std::uint64_t>(max_device_mb) << 20;
+    return device_budget_bytes > 0 || stream_chunk_rows > 0;
   }
 
   // Checkpoint the booster every N completed trees (0 = off) to

@@ -62,7 +62,7 @@ TreeGrower::TreeGrower(sim::DeviceGroup& group, const GrowerContext& ctx)
   }
   if (ctx.paged != nullptr) {
     const std::size_t budget =
-        static_cast<std::size_t>(ctx.config.block_cache_budget_bytes());
+        static_cast<std::size_t>(ctx.config.device_budget_bytes);
     block_caches_.reserve(static_cast<std::size_t>(group.size()));
     for (int i = 0; i < group.size(); ++i) {
       block_caches_.push_back(std::make_unique<data::BlockCache>(

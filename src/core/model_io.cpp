@@ -26,22 +26,12 @@ float read_float(std::istream& is) {
   return v;
 }
 
-const char* task_tag(data::TaskKind t) { return data::task_name(t); }
-
-data::TaskKind parse_task(const std::string& s) {
-  if (s == "multiclass") return data::TaskKind::kMulticlass;
-  if (s == "multilabel") return data::TaskKind::kMultilabel;
-  if (s == "multiregress") return data::TaskKind::kMultiregression;
-  if (s == "ranking") return data::TaskKind::kRanking;
-  GBMO_CHECK(false) << "bad task tag: " << s;
-  throw Error("unreachable");
-}
 }  // namespace
 
 void write_model(std::ostream& os, const Model& model) {
   os << kMagic << '\n';
   os << std::setprecision(9);
-  os << "task " << task_tag(model.task) << ' ' << model.n_outputs << '\n';
+  os << "task " << data::task_name(model.task) << ' ' << model.n_outputs << '\n';
 
   // Cut points: n_features then per feature "cuts <k> v v v ...".
   os << "features " << model.cuts.n_features() << ' ' << model.cuts.max_bins()
@@ -95,7 +85,7 @@ Model read_model(std::istream& is) {
 
   GBMO_CHECK(static_cast<bool>(is >> tag >> task_str >> model.n_outputs) &&
              tag == "task");
-  model.task = parse_task(task_str);
+  model.task = data::parse_task(task_str);
 
   std::size_t n_features = 0;
   int max_bins = 0;

@@ -1,7 +1,7 @@
 #include "data/io.h"
 
+#include <algorithm>
 #include <fstream>
-#include <limits>
 #include <sstream>
 
 #include "common/error.h"
@@ -16,15 +16,6 @@ std::vector<std::string> split_line(const std::string& line, char sep) {
   std::istringstream is(line);
   while (std::getline(is, cell, sep)) out.push_back(cell);
   return out;
-}
-
-TaskKind parse_task(const std::string& s) {
-  if (s == "multiclass") return TaskKind::kMulticlass;
-  if (s == "multilabel") return TaskKind::kMultilabel;
-  if (s == "multiregress") return TaskKind::kMultiregression;
-  if (s == "ranking") return TaskKind::kRanking;
-  GBMO_CHECK(false) << "unknown task kind in file: " << s;
-  throw Error("unreachable");
 }
 
 }  // namespace
@@ -59,117 +50,61 @@ void write_csv(std::ostream& os, const Dataset& d) {
   }
 }
 
-CsvChunkReader::CsvChunkReader(std::istream& is, std::size_t n_features)
-    : is_(&is), n_features_(n_features), task_(TaskKind::kMultiregression) {
+Dataset read_csv(std::istream& is, std::size_t n_features) {
   std::string line;
-  GBMO_CHECK(static_cast<bool>(std::getline(*is_, line))) << "empty CSV";
-  auto header = split_line(line, ',');
+  GBMO_CHECK(static_cast<bool>(std::getline(is, line))) << "empty CSV";
+  const auto header = split_line(line, ',');
   GBMO_CHECK(header.size() == 3 && header[0] == "task") << "bad CSV header";
-  task_ = parse_task(header[1]);
-  n_outputs_ = std::stoi(header[2]);
-}
+  const TaskKind task = parse_task(header[1]);
+  const int n_outputs = std::stoi(header[2]);
+  const std::size_t label_cells =
+      task == TaskKind::kMulticlass ? 1
+      : task == TaskKind::kRanking  ? 2  // query id + relevance
+                                    : static_cast<std::size_t>(n_outputs);
 
-Dataset CsvChunkReader::next_chunk(std::size_t max_rows) {
   std::vector<float> features;
   std::vector<std::int32_t> class_ids;
   std::vector<std::uint8_t> indicators;
   std::vector<float> targets;
   std::vector<std::uint32_t> query_ids;
   std::size_t n = 0;
-
-  std::string line;
-  while (n < max_rows && std::getline(*is_, line)) {
+  while (std::getline(is, line)) {
     if (line.empty()) continue;
-    auto cells = split_line(line, ',');
-    const std::size_t label_cells =
-        task_ == TaskKind::kMulticlass ? 1
-        : task_ == TaskKind::kRanking  ? 2  // query id + relevance
-                                       : static_cast<std::size_t>(n_outputs_);
-    GBMO_CHECK(cells.size() == n_features_ + label_cells)
-        << "line " << rows_read_ + n + 2 << " has " << cells.size()
-        << " cells";
-    for (std::size_t f = 0; f < n_features_; ++f) {
+    const auto cells = split_line(line, ',');
+    GBMO_CHECK(cells.size() == n_features + label_cells)
+        << "line " << n + 2 << " has " << cells.size() << " cells";
+    for (std::size_t f = 0; f < n_features; ++f) {
       features.push_back(std::stof(cells[f]));
     }
-    switch (task_) {
+    switch (task) {
       case TaskKind::kMulticlass:
-        class_ids.push_back(std::stoi(cells[n_features_]));
+        class_ids.push_back(std::stoi(cells[n_features]));
         break;
       case TaskKind::kMultilabel:
-        for (int k = 0; k < n_outputs_; ++k) {
+        for (int k = 0; k < n_outputs; ++k) {
           indicators.push_back(static_cast<std::uint8_t>(
-              std::stoi(cells[n_features_ + static_cast<std::size_t>(k)])));
+              std::stoi(cells[n_features + static_cast<std::size_t>(k)])));
         }
         break;
       case TaskKind::kMultiregression:
-        for (int k = 0; k < n_outputs_; ++k) {
+        for (int k = 0; k < n_outputs; ++k) {
           targets.push_back(
-              std::stof(cells[n_features_ + static_cast<std::size_t>(k)]));
+              std::stof(cells[n_features + static_cast<std::size_t>(k)]));
         }
         break;
       case TaskKind::kRanking:
         query_ids.push_back(
-            static_cast<std::uint32_t>(std::stoul(cells[n_features_])));
-        targets.push_back(std::stof(cells[n_features_ + 1]));
+            static_cast<std::uint32_t>(std::stoul(cells[n_features])));
+        targets.push_back(std::stof(cells[n_features + 1]));
         break;
     }
     ++n;
   }
-  rows_read_ += n;
-  if (n == 0) done_ = true;
-
-  Dataset d;
-  d.name = "csv";
-  d.x = DenseMatrix(n, n_features_);
-  std::copy(features.begin(), features.end(), d.x.values().begin());
-  switch (task_) {
-    case TaskKind::kMulticlass:
-      d.y = Labels::multiclass(std::move(class_ids), n_outputs_);
-      break;
-    case TaskKind::kMultilabel:
-      d.y = Labels::multilabel(std::move(indicators), n, n_outputs_);
-      break;
-    case TaskKind::kMultiregression:
-      d.y = Labels::multiregression(std::move(targets), n, n_outputs_);
-      break;
-    case TaskKind::kRanking:
-      d.y = Labels::ranking(std::move(targets), std::move(query_ids));
-      break;
-  }
-  return d;
-}
-
-namespace {
-
-// Concatenates chunk datasets (same task/shape) into one Dataset.
-Dataset concat_chunks(std::vector<Dataset> chunks, TaskKind task,
-                      std::size_t n_features, int n_outputs) {
-  std::size_t n = 0;
-  for (const auto& c : chunks) n += c.n_instances();
 
   Dataset d;
   d.name = "csv";
   d.x = DenseMatrix(n, n_features);
-  std::vector<std::int32_t> class_ids;
-  std::vector<std::uint8_t> indicators;
-  std::vector<float> targets;
-  std::vector<std::uint32_t> query_ids;
-  std::size_t row = 0;
-  for (const auto& c : chunks) {
-    const auto vals = c.x.values();
-    std::copy(vals.begin(), vals.end(),
-              d.x.values().begin() +
-                  static_cast<std::ptrdiff_t>(row * n_features));
-    row += c.n_instances();
-    const auto ids = c.y.class_ids();
-    class_ids.insert(class_ids.end(), ids.begin(), ids.end());
-    const auto ind = c.y.indicators();
-    indicators.insert(indicators.end(), ind.begin(), ind.end());
-    const auto tg = c.y.targets();
-    targets.insert(targets.end(), tg.begin(), tg.end());
-    const auto qid = c.y.query_ids();
-    query_ids.insert(query_ids.end(), qid.begin(), qid.end());
-  }
+  std::copy(features.begin(), features.end(), d.x.values().begin());
   switch (task) {
     case TaskKind::kMulticlass:
       d.y = Labels::multiclass(std::move(class_ids), n_outputs);
@@ -181,39 +116,10 @@ Dataset concat_chunks(std::vector<Dataset> chunks, TaskKind task,
       d.y = Labels::multiregression(std::move(targets), n, n_outputs);
       break;
     case TaskKind::kRanking:
-      // A chunk boundary may split a query; concatenation restores the
-      // contiguous runs, so the grouped-qid invariant holds again here.
       d.y = Labels::ranking(std::move(targets), std::move(query_ids));
       break;
   }
   return d;
-}
-
-}  // namespace
-
-Dataset read_csv(std::istream& is, std::size_t n_features) {
-  // One unbounded chunk through the incremental reader keeps the two code
-  // paths byte-for-byte identical (the chunked round-trip test relies on
-  // that).
-  CsvChunkReader reader(is, n_features);
-  return reader.next_chunk(std::numeric_limits<std::size_t>::max());
-}
-
-Dataset read_csv_file_chunked(const std::string& path, std::size_t n_features,
-                              std::size_t chunk_rows) {
-  std::ifstream is(path);
-  GBMO_CHECK(is.good()) << "cannot open " << path;
-  CsvChunkReader reader(is, n_features);
-  const std::size_t step =
-      chunk_rows == 0 ? std::numeric_limits<std::size_t>::max() : chunk_rows;
-  std::vector<Dataset> chunks;
-  for (;;) {
-    Dataset chunk = reader.next_chunk(step);
-    if (chunk.n_instances() == 0) break;
-    chunks.push_back(std::move(chunk));
-  }
-  return concat_chunks(std::move(chunks), reader.task(), n_features,
-                       reader.n_outputs());
 }
 
 void write_csv_file(const std::string& path, const Dataset& d) {
@@ -230,6 +136,7 @@ Dataset read_csv_file(const std::string& path, std::size_t n_features) {
 
 void write_libsvm(std::ostream& os, const Dataset& d) {
   for (std::size_t i = 0; i < d.n_instances(); ++i) {
+    const auto row = d.x.row(i);
     switch (d.task()) {
       case TaskKind::kMulticlass:
         os << d.y.class_id(i);
@@ -243,7 +150,14 @@ void write_libsvm(std::ostream& os, const Dataset& d) {
             first = false;
           }
         }
-        if (first) os << "";  // no labels: empty label field
+        // No labels leave the label field empty, so the line starts with a
+        // feature pair. With no nonzero feature either the line would be
+        // blank, which read_libsvm skips: write an explicit zero instead.
+        if (first && !row.empty() &&
+            std::all_of(row.begin(), row.end(),
+                        [](float v) { return v == 0.0f; })) {
+          os << "0:0";
+        }
         break;
       }
       case TaskKind::kMultiregression:
@@ -256,7 +170,6 @@ void write_libsvm(std::ostream& os, const Dataset& d) {
         os << d.y.query_ids()[i] << ',' << d.y.target(i, 0);
         break;
     }
-    const auto row = d.x.row(i);
     for (std::size_t f = 0; f < row.size(); ++f) {
       if (row[f] != 0.0f) os << ' ' << f << ':' << row[f];
     }
@@ -273,11 +186,24 @@ Dataset read_libsvm(std::istream& is, std::size_t n_features, TaskKind task,
   std::vector<std::uint32_t> query_ids;
 
   std::string line;
+  std::size_t line_no = 0;
   while (std::getline(is, line)) {
+    ++line_no;
     if (line.empty()) continue;
     std::istringstream ls(line);
     std::string label_field;
     ls >> label_field;
+    if (label_field.find(':') != std::string::npos) {
+      // write_libsvm leaves the label field of a multilabel row with no
+      // active labels empty, so its first token is already a feature pair.
+      if (task != TaskKind::kMultilabel) {
+        throw Error("libsvm line " + std::to_string(line_no) +
+                    " has no label field");
+      }
+      label_field.clear();
+      ls.clear();
+      ls.seekg(0);
+    }
     switch (task) {
       case TaskKind::kMulticlass:
         class_ids.push_back(std::stoi(label_field));

@@ -20,6 +20,15 @@ const char* task_name(TaskKind t) {
   return "?";
 }
 
+TaskKind parse_task(const std::string& name) {
+  for (const TaskKind t : {TaskKind::kMulticlass, TaskKind::kMultilabel,
+                           TaskKind::kMultiregression, TaskKind::kRanking}) {
+    if (name == task_name(t)) return t;
+  }
+  throw Error("unknown task '" + name +
+              "' (multiclass|multilabel|multiregress|ranking)");
+}
+
 std::vector<float> DenseMatrix::col(std::size_t c) const {
   GBMO_CHECK(c < n_cols_);
   std::vector<float> out(n_rows_);

@@ -19,6 +19,8 @@ enum class TaskKind : std::uint8_t {
 };
 
 const char* task_name(TaskKind t);
+// Inverse of task_name; throws gbmo::Error naming the four task names.
+TaskKind parse_task(const std::string& name);
 
 // Row-major dense float matrix (instances x features).
 class DenseMatrix {

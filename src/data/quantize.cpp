@@ -7,6 +7,12 @@
 
 namespace gbmo::data {
 
+namespace {
+
+// Cut points for one feature from its sorted distinct non-NaN value set. At
+// most max_bins-1 cuts; with few distinct values one cut per consecutive pair
+// (exact split search), otherwise quantile cuts over the distinct values with
+// duplicate midpoints dropped.
 std::vector<float> cuts_from_distinct(std::span<const float> sorted_distinct,
                                       int max_bins) {
   std::vector<float> cuts;
@@ -36,6 +42,8 @@ std::vector<float> cuts_from_distinct(std::span<const float> sorted_distinct,
   }
   return cuts;
 }
+
+}  // namespace
 
 BinCuts BinCuts::build(const DenseMatrix& x, int max_bins) {
   GBMO_CHECK(max_bins >= 2 && max_bins <= 256)
@@ -76,21 +84,6 @@ BinCuts BinCuts::from_cut_arrays(const std::vector<std::vector<float>>& cuts,
     for (std::size_t i = 0; i + 1 < fc.size(); ++i) {
       GBMO_CHECK(fc[i] < fc[i + 1]) << "cut arrays must be strictly increasing";
     }
-    out.cuts_.insert(out.cuts_.end(), fc.begin(), fc.end());
-    out.cut_ptr_.push_back(static_cast<std::uint32_t>(out.cuts_.size()));
-  }
-  return out;
-}
-
-BinCuts BinCuts::from_feature_cuts(const std::vector<std::vector<float>>& cuts,
-                                   int max_bins) {
-  GBMO_CHECK(max_bins >= 2 && max_bins <= 256);
-  BinCuts out;
-  out.max_bins_ = max_bins;
-  out.cut_ptr_.reserve(cuts.size() + 1);
-  out.cut_ptr_.push_back(0);
-  for (const auto& fc : cuts) {
-    GBMO_CHECK(fc.size() < static_cast<std::size_t>(max_bins));
     out.cuts_.insert(out.cuts_.end(), fc.begin(), fc.end());
     out.cut_ptr_.push_back(static_cast<std::uint32_t>(out.cuts_.size()));
   }

@@ -19,16 +19,6 @@
 
 namespace gbmo::data {
 
-// Cut points for one feature from its sorted distinct non-NaN value set.
-// This is the single source of truth for cut placement: BinCuts::build and
-// the streaming sketch path (data/sketch.h) both call it, which is what makes
-// the streaming-equivalence contract "same distinct set => bitwise-same cuts"
-// hold by construction. At most max_bins-1 cuts; with few distinct values one
-// cut per consecutive pair (exact split search), otherwise quantile cuts over
-// the distinct values with duplicate midpoints dropped.
-std::vector<float> cuts_from_distinct(std::span<const float> sorted_distinct,
-                                      int max_bins);
-
 class BinCuts {
  public:
   BinCuts() = default;
@@ -40,14 +30,6 @@ class BinCuts {
   // Each array must be strictly increasing with fewer than max_bins entries.
   static BinCuts from_cut_arrays(const std::vector<std::vector<float>>& cuts,
                                  int max_bins);
-
-  // Assembles per-feature cuts produced by cuts_from_distinct (the streaming
-  // sketch path). Unlike from_cut_arrays this does not re-check strict
-  // monotonicity: the helper mirrors build() exactly, including its tolerance
-  // for float-collapsed midpoints in the exact branch, so re-validating here
-  // would reject inputs build() itself can produce.
-  static BinCuts from_feature_cuts(const std::vector<std::vector<float>>& cuts,
-                                   int max_bins);
 
   std::size_t n_features() const { return cut_ptr_.empty() ? 0 : cut_ptr_.size() - 1; }
   int max_bins() const { return max_bins_; }

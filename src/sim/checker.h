@@ -4,7 +4,7 @@
 // atomic discipline; the simulator executes each block sequentially on one
 // host thread, which *hides* such bugs instead of surfacing them. This module
 // re-introduces the hazards as checkable shadow state. When armed
-// (--sim-check / GBMO_SIM_CHECK / TrainConfig::sim_check) every launch
+// (--sim-check / GBMO_SIM_CHECK / set_sim_check) every launch
 // validates, at the granularity of the checked accessor views
 // (sim/accessors.h):
 //

@@ -194,9 +194,9 @@ DrawnCase draw_case(std::uint64_t seed) {
       gbmo::core::MultiGpuMode::kVotingParallel};
   c.cfg.multi_gpu = mode_choices[pick(0, 2)];
   c.cfg.voting_k = pick(1, 4);
-  // Out-of-core streaming (DESIGN.md §12). Paging is accounting-only and the
-  // sketch runs in its exact regime at these sizes, so arming it must leave
-  // every invariant (bitwise thread equality, reference agreement) intact.
+  // Out-of-core training (DESIGN.md §12). Paging is accounting-only and the
+  // cuts are the in-core ones, so arming it must leave every invariant
+  // (bitwise thread equality, reference agreement) intact.
   // 2 KiB always holds one feature's working set at n<=160 rows, yet is
   // small enough to force real eviction traffic. Chaos mode exercises the
   // block_h2d retry path for free via GBMO_FUZZ_FAULT_RATE.

@@ -7,6 +7,7 @@
 #include <sstream>
 
 #include "cli.h"
+#include "sim/faults.h"
 
 namespace gbmo::cli {
 namespace {
@@ -140,6 +141,18 @@ TEST(CliErrors, UnknownCommandAndMissingOptions) {
   const auto help = run_cli({"--help"});
   EXPECT_EQ(help.code, 0);
   EXPECT_NE(help.out.find("usage"), std::string::npos);
+
+  // --help after a command prints the usage too, whether or not the
+  // command's required options are given.
+  for (const auto& args :
+       {std::vector<std::string>{"train", "--help"},
+        std::vector<std::string>{"generate", "--help"},
+        std::vector<std::string>{"train", "--data", "d.csv", "--features", "8",
+                                 "--model", "m.model", "--help"}}) {
+    std::ostringstream out, err;
+    EXPECT_EQ(run(args, out, err), 0) << args[0] << ": " << err.str();
+    EXPECT_NE(out.str().find("usage"), std::string::npos) << args[0];
+  }
 }
 
 TEST(CliErrors, ModelLoadFailureExitsNonzeroWithClearMessage) {
@@ -183,6 +196,53 @@ TEST(CliGenerate, LibsvmFormatRoundTrips) {
                               "16"});
   ASSERT_EQ(train.code, 0) << train.err;
   EXPECT_NE(train.out.find("train rmse"), std::string::npos);
+}
+
+// Sparse multilabel data has rows with no active label; their libsvm lines
+// start with a feature pair and must still load and train.
+TEST(CliGenerate, MultilabelLibsvmTrains) {
+  const auto gen = run_cli({"generate", "--task", "multilabel", "--format",
+                            "libsvm", "--n", "1500", "--m", "16", "--d", "6",
+                            "--sparsity", "0.6", "--seed", "14", "--out",
+                            tmp_path("ml.svm")});
+  ASSERT_EQ(gen.code, 0) << gen.err;
+  const auto train = run_cli({"train", "--data", tmp_path("ml.svm"),
+                              "--format", "libsvm", "--task", "multilabel",
+                              "--outputs", "6", "--features", "16", "--model",
+                              tmp_path("ml.model"), "--trees", "4", "--bins",
+                              "32"});
+  ASSERT_EQ(train.code, 0) << train.err;
+  EXPECT_NE(train.out.find("trained on 1500 x 16"), std::string::npos)
+      << train.out;
+}
+
+// A device lost to a kill= fault is reported; a clean run prints no such
+// line. Training fails over to the survivor either way.
+TEST(CliFaults, ReportsLostDevices) {
+  const auto gen = run_cli({"generate", "--task", "multiclass", "--n", "3000",
+                            "--m", "20", "--d", "5", "--sparsity", "0.5",
+                            "--seed", "11", "--out", tmp_path("data.csv")});
+  ASSERT_EQ(gen.code, 0) << gen.err;
+  const auto train = [&](std::vector<std::string> extra) {
+    std::vector<std::string> args = {
+        "train",  "--data", tmp_path("data.csv"), "--features", "20",
+        "--model", tmp_path("m.model"), "--trees", "6", "--depth", "5",
+        "--bins", "32", "--devices", "2", "--mgpu", "feature"};
+    args.insert(args.end(), extra.begin(), extra.end());
+    std::ostringstream out, err;
+    const int code = run(args, out, err);
+    sim::reset_sim_faults();  // --sim-faults arms the plan process-wide
+    return CliResult{code, out.str(), err.str()};
+  };
+  const auto clean = train({});
+  ASSERT_EQ(clean.code, 0) << clean.err;
+  EXPECT_EQ(clean.out.find("devices lost"), std::string::npos) << clean.out;
+  const auto killed = train({"--sim-faults", "kill=1@40"});
+  ASSERT_EQ(killed.code, 0) << killed.err;
+  EXPECT_NE(killed.out.find("devices lost: 1 of 2 (training failed over to "
+                            "the survivors)"),
+            std::string::npos)
+      << killed.out;
 }
 
 }  // namespace

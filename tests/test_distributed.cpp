@@ -437,6 +437,7 @@ TEST(DistributedChaos, NodeKillFailoverBitwise) {
     const auto got = failover.fit(d);
     expect_models_identical(ref, got);
     expect_predictions_identical(ref, got, d);
+    EXPECT_EQ(failover.report().devices_lost, 2);
   }
 
   // The same loss on the sparse replica, per mode x growth x EFB, with every

@@ -434,6 +434,15 @@ TEST(ConfigValidation, CliRejectsBadFlagsWithNonzeroExit) {
       out3, err3);
   EXPECT_NE(code3, 0);
   EXPECT_NE(err3.str().find("growth"), std::string::npos) << err3.str();
+
+  std::ostringstream out4, err4;
+  const int code4 = cli::run(
+      {"train", "--data", "/nonexistent.csv", "--features", "8", "--model",
+       "/tmp/never.model", "--max-device-mb", "-1"},
+      out4, err4);
+  EXPECT_EQ(code4, 1);
+  EXPECT_NE(err4.str().find("--max-device-mb"), std::string::npos)
+      << err4.str();
 }
 
 }  // namespace

@@ -2,7 +2,9 @@
 // three task kinds; synthetic generator contracts.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <cstring>
 #include <sstream>
 
 #include "core/metrics.h"
@@ -121,6 +123,40 @@ TEST(IoTest, LibsvmRoundTripAllTasks) {
   mr.sparsity = 0.5;
   expect_same(data::make_multiregression(mr),
               roundtrip_libsvm(data::make_multiregression(mr)));
+}
+
+// write_libsvm leaves the label field of a multilabel row with no active
+// labels empty; the reader must not take that row's first feature pair for
+// its labels, nor drop a row that has no feature pair either.
+TEST(IoTest, LibsvmMultilabelRowWithoutLabelsRoundTrips) {
+  data::Dataset d;
+  d.x = data::DenseMatrix(3, 3);
+  d.x.at(0, 2) = 1.5f;
+  d.x.at(1, 0) = 2.5f;
+  d.x.at(1, 1) = 3.5f;
+  // Row 2 has neither a label nor a nonzero feature.
+  d.y = data::Labels::multilabel({0, 1, 1, 0, 0, 0, 0, 0, 0}, 3, 3);
+  const auto back = roundtrip_libsvm(d);
+  ASSERT_EQ(back.n_instances(), 3u);
+  const auto xa = d.x.values();
+  const auto xb = back.x.values();
+  ASSERT_EQ(xa.size(), xb.size());
+  EXPECT_EQ(std::memcmp(xa.data(), xb.data(), xa.size() * sizeof(float)), 0);
+  const auto ya = d.y.indicators();
+  const auto yb = back.y.indicators();
+  ASSERT_EQ(ya.size(), yb.size());
+  EXPECT_TRUE(std::equal(ya.begin(), ya.end(), yb.begin()));
+
+  // Every other task needs a label field: a line without one is an error
+  // that names the line.
+  std::istringstream is("0 0:1\n0:2.5 1:3.5\n");
+  try {
+    data::read_libsvm(is, 3, data::TaskKind::kMulticlass, 3);
+    FAIL() << "expected gbmo::Error";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(SyntheticTest, DeterministicBySeed) {

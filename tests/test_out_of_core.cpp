@@ -1,23 +1,18 @@
-// Out-of-core streaming training (DESIGN.md §12): the block cache pages
-// bin-packed feature tiles under a device-memory budget while the trained
-// model stays bitwise-identical to in-core training — at every budget, chunk
-// size and --sim-threads value. Also covers modeled-time monotonicity as the
-// budget shrinks, the memory-ledger hard-fail when the budget cannot hold one
+// Out-of-core training (DESIGN.md §12): the block cache pages bin-packed
+// feature tiles under a device-memory budget while the trained model stays
+// bitwise-identical to in-core training — at every budget, tile height and
+// --sim-threads value. Also covers modeled-time monotonicity as the budget
+// shrinks, the memory-ledger hard-fail when the budget cannot hold one
 // feature's working set, GOSS shrinking the paged working set, profiler
-// visibility of transfers, fault-injected staging, and the chunked CSV
-// reader's equivalence with the one-shot loader.
+// visibility of transfers, and fault-injected staging.
 #include <gtest/gtest.h>
 
 #include <cmath>
-#include <cstdio>
 #include <cstring>
-#include <fstream>
-#include <sstream>
 #include <string>
 #include <vector>
 
 #include "core/booster.h"
-#include "data/io.h"
 #include "data/paged_dataset.h"
 #include "data/quantize.h"
 #include "data/synthetic.h"
@@ -332,54 +327,6 @@ TEST(OutOfCore, StagingTransientBitwise) {
   EXPECT_EQ(clean.report.page_bytes_transferred,
             faulted.report.page_bytes_transferred);
   EXPECT_GE(faulted.report.modeled_seconds, clean.report.modeled_seconds);
-}
-
-// --- chunked CSV ingest -----------------------------------------------------
-
-TEST(OutOfCore, ChunkedCsvReaderMatchesOneShot) {
-  const auto d = dense_data(/*seed=*/29);
-  const std::string path = testing::TempDir() + "gbmo_ooc_roundtrip.csv";
-  data::write_csv_file(path, d);
-
-  const auto one_shot = data::read_csv_file(path, d.n_features());
-  for (const std::size_t chunk : {std::size_t{13}, std::size_t{100},
-                                  std::size_t{0}}) {
-    const auto chunked = data::read_csv_file_chunked(path, d.n_features(), chunk);
-    ASSERT_EQ(chunked.n_instances(), one_shot.n_instances()) << chunk;
-    ASSERT_EQ(chunked.n_features(), one_shot.n_features()) << chunk;
-    ASSERT_EQ(chunked.n_outputs(), one_shot.n_outputs()) << chunk;
-    ASSERT_EQ(chunked.task(), one_shot.task()) << chunk;
-    const auto a = chunked.x.values();
-    const auto b = one_shot.x.values();
-    ASSERT_EQ(a.size(), b.size()) << chunk;
-    EXPECT_EQ(std::memcmp(a.data(), b.data(), a.size() * sizeof(float)), 0)
-        << "chunk=" << chunk << ": features differ";
-    for (std::size_t i = 0; i < chunked.n_instances(); ++i) {
-      ASSERT_EQ(chunked.y.class_id(i), one_shot.y.class_id(i))
-          << "chunk=" << chunk << " row " << i;
-    }
-  }
-  std::remove(path.c_str());
-}
-
-TEST(OutOfCore, ChunkReaderExposesProgress) {
-  const auto d = dense_data(/*seed=*/31);
-  std::ostringstream os;
-  data::write_csv(os, d);
-  std::istringstream is(os.str());
-  data::CsvChunkReader reader(is, d.n_features());
-  EXPECT_EQ(reader.task(), d.task());
-  EXPECT_EQ(reader.n_outputs(), d.n_outputs());
-  std::size_t total = 0;
-  while (true) {
-    const auto chunk = reader.next_chunk(100);
-    if (chunk.n_instances() == 0) break;
-    EXPECT_LE(chunk.n_instances(), 100u);
-    total += chunk.n_instances();
-    EXPECT_EQ(reader.rows_read(), total);
-  }
-  EXPECT_TRUE(reader.done());
-  EXPECT_EQ(total, kRows);
 }
 
 // --- slow sweep -------------------------------------------------------------

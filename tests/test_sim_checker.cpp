@@ -139,13 +139,11 @@ TEST(SimChecker, PredictTreesCleanBothVariants) {
   }
 }
 
-// TrainConfig::sim_check arms report mode, and the per-kernel violation
-// counts (zero here) flow to the profiler through the normal charge path.
-TEST(SimChecker, ConfigArmsCheckerAndProfilerSeesCounts) {
-  CheckGuard guard(sim::CheckMode::kOff);
-  sim::reset_sim_check();  // let the config's arming take effect
-  auto cfg = small_config();
-  cfg.sim_check = true;
+// With the checker in report mode, the per-kernel violation counts (zero
+// here) flow to the profiler through the normal charge path.
+TEST(SimChecker, ReportModeCountsReachProfiler) {
+  CheckGuard guard(sim::CheckMode::kReport);
+  const auto cfg = small_config();
   const auto d = small_data();
   core::GbmoBooster booster(cfg);
   obs::Profiler profiler(/*capture_trace=*/false);

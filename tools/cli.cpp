@@ -94,15 +94,6 @@ class Args {
   mutable std::set<std::string> used_;
 };
 
-data::TaskKind parse_task(const std::string& s) {
-  if (s == "multiclass") return data::TaskKind::kMulticlass;
-  if (s == "multilabel") return data::TaskKind::kMultilabel;
-  if (s == "multiregress") return data::TaskKind::kMultiregression;
-  if (s == "ranking") return data::TaskKind::kRanking;
-  throw Error("unknown --task: " + s +
-              " (multiclass|multilabel|multiregress|ranking)");
-}
-
 sim::DeviceSpec parse_device(const std::string& s) {
   if (s.empty() || s == "4090") return sim::DeviceSpec::rtx4090();
   if (s == "3090") return sim::DeviceSpec::rtx3090();
@@ -111,24 +102,17 @@ sim::DeviceSpec parse_device(const std::string& s) {
 }
 
 // Loads a dataset in either format; libsvm needs the task + output count.
-// chunk_rows > 0 routes CSV through the chunked reader (out-of-core ingest:
-// at most one chunk of raw rows held while parsing; identical result).
-data::Dataset load_dataset(const Args& args, const std::string& path_key,
-                           std::size_t chunk_rows = 0) {
+data::Dataset load_dataset(const Args& args, const std::string& path_key) {
   const auto path = args.require(path_key);
   const auto format = args.str("format", "csv");
   const auto n_features = static_cast<std::size_t>(args.integer("features", 0));
   if (n_features == 0) throw Error("missing required option --features");
-  if (format == "csv") {
-    if (chunk_rows > 0) {
-      return data::read_csv_file_chunked(path, n_features, chunk_rows);
-    }
-    return data::read_csv_file(path, n_features);
-  }
+  if (format == "csv") return data::read_csv_file(path, n_features);
   if (format == "libsvm") {
     std::ifstream is(path);
     if (!is.good()) throw Error("cannot open " + path);
-    return data::read_libsvm(is, n_features, parse_task(args.require("task")),
+    return data::read_libsvm(is, n_features,
+                             data::parse_task(args.require("task")),
                              static_cast<int>(args.integer("outputs", 0)));
   }
   throw Error("unknown --format: " + format + " (csv|libsvm)");
@@ -150,9 +134,8 @@ core::TrainConfig parse_train_config(const Args& args) {
   if (cfg.sim_threads > 0) sim::set_sim_threads(cfg.sim_threads);
   // Race/memory checker: also process-wide, so baseline systems run under
   // it too. Never downgrades a stronger GBMO_SIM_CHECK=fail default.
-  if (args.flag("sim-check")) {
-    cfg.sim_check = true;
-    if (!sim::sim_check_enabled()) sim::set_sim_check(sim::CheckMode::kReport);
+  if (args.flag("sim-check") && !sim::sim_check_enabled()) {
+    sim::set_sim_check(sim::CheckMode::kReport);
   }
   // Fault injection: armed process-wide (so baseline systems and predict
   // paths see it too) and recorded in the config for the booster.
@@ -230,10 +213,15 @@ core::TrainConfig parse_train_config(const Args& args) {
   }
   cfg.hist_budget_mb =
       static_cast<int>(args.integer("hist-budget-mb", cfg.hist_budget_mb));
-  // Out-of-core streaming (DESIGN.md §12): a device-memory budget for the
-  // bin-packed block cache and/or a row-chunk size for streaming ingest.
-  cfg.max_device_mb =
-      static_cast<int>(args.integer("max-device-mb", cfg.max_device_mb));
+  // Out-of-core training (DESIGN.md §12): a device-memory budget for the
+  // bin-packed block cache, in MiB here and in bytes in the config, and/or
+  // the tile height in rows.
+  const long device_mb = args.integer("max-device-mb", 0);
+  if (device_mb < 0 || device_mb >= (1L << 44)) {  // N << 20 must fit 64 bits
+    throw Error("--max-device-mb must be in [0, 2^44) (got " +
+                std::to_string(device_mb) + ")");
+  }
+  cfg.device_budget_bytes = static_cast<std::uint64_t>(device_mb) << 20;
   cfg.stream_chunk_rows =
       static_cast<int>(args.integer("stream-chunk-rows", cfg.stream_chunk_rows));
   // Surface nonsense combinations here (clear one-line message + exit 1)
@@ -273,7 +261,8 @@ void emit_profile(const ProfileOptions& opts, const obs::Profiler& profiler,
   }
 }
 
-void print_report(const core::TrainReport& report, std::ostream& out) {
+void print_report(const core::TrainReport& report, int n_devices,
+                  std::ostream& out) {
   out << "trees trained:        " << report.trees_trained
       << (report.early_stopped ? " (early stopped)" : "") << "\n";
   out << "modeled device time:  " << report.modeled_seconds << " s\n";
@@ -297,13 +286,17 @@ void print_report(const core::TrainReport& report, std::ostream& out) {
     out << "voting exchanges:     " << report.vote_rounds << " rounds, "
         << report.vote_misses << " canonical-best misses\n";
   }
+  if (report.devices_lost > 0) {
+    out << "devices lost: " << report.devices_lost << " of " << n_devices
+        << " (training failed over to the survivors)\n";
+  }
 }
 
 // ---------------------------------------------------------------------------
 // commands
 
 int cmd_generate(const Args& args, std::ostream& out) {
-  const auto task = parse_task(args.require("task"));
+  const auto task = data::parse_task(args.require("task"));
   const auto n = static_cast<std::size_t>(args.integer("n", 1000));
   const auto m = static_cast<std::size_t>(args.integer("m", 20));
   const auto d = static_cast<int>(args.integer("d", 5));
@@ -391,13 +384,7 @@ int cmd_train(const Args& args, std::ostream& out) {
   // Config first: an invalid flag combination should fail fast, before the
   // (possibly large) training file is read.
   auto cfg = parse_train_config(args);
-  // Out-of-core mode also bounds the ingest working set: stream the CSV in
-  // --stream-chunk-rows chunks (identical Dataset, regression-tested).
-  const auto train = load_dataset(
-      args, "data",
-      cfg.stream_chunk_rows > 0
-          ? static_cast<std::size_t>(cfg.stream_chunk_rows)
-          : 0);
+  const auto train = load_dataset(args, "data");
   const auto model_path = args.require("model");
   cfg.checkpoint_path = args.str("checkpoint");
   cfg.checkpoint_every =
@@ -443,7 +430,7 @@ int cmd_train(const Args& args, std::ostream& out) {
   out << "trained on " << train.n_instances() << " x " << train.n_features()
       << " (" << data::task_name(train.task()) << ", " << train.n_outputs()
       << " outputs)\n";
-  print_report(booster.report(), out);
+  print_report(booster.report(), cfg.n_devices, out);
   const auto eval = model.evaluate(train);
   out << "train " << eval.metric << ": " << eval.value << "\n";
   if (valid.has_value()) {
@@ -647,7 +634,7 @@ int cmd_bench(const Args& args, std::ostream& out) {
   sys->fit(split.train);
   const auto eval = sys->evaluate(split.test);
   out << "system " << system << " on " << name << " (bench-scale replica)\n";
-  print_report(sys->report(), out);
+  print_report(sys->report(), cfg.n_devices, out);
   out << "test " << eval.metric << ": " << eval.value << "\n";
   emit_profile(prof_opts, profiler, device, out);
   return 0;
@@ -764,13 +751,12 @@ frontier would exceed it the grower builds one node at a time in scratch
 bitwise --sim-threads determinism guarantee.
 
 Out-of-core streaming (DESIGN.md §12): --max-device-mb N caps the
-device-resident bin-block cache — feature blocks page in on demand over the
-modeled PCIe link (LRU eviction, transfers charged to the "page" phase and
-accounted in the device memory ledger, which hard-fails if the budget cannot
-hold one feature's working set). --stream-chunk-rows N additionally builds
-bin cuts with a single-pass mergeable quantile sketch over row chunks (and
-streams CSV ingest in chunks of N rows). The trained model is bit-identical
-to in-core training at every budget, chunk size and --sim-threads value;
+device-resident bin-block cache at N MiB — feature blocks page in on demand
+over the modeled PCIe link (LRU eviction, transfers charged to the "page"
+phase and accounted in the device memory ledger, which hard-fails if the
+budget cannot hold one feature's working set). --stream-chunk-rows N sets
+the height of those blocks in rows. The trained model is bit-identical to
+in-core training at every budget, block height and --sim-threads value;
 only modeled time changes (monotonically, as the budget shrinks).
 
 Multi-node topology (DESIGN.md §13): --nodes N arranges --devices into N
@@ -801,12 +787,12 @@ identical for every --sim-threads value.
 --sim-faults SPEC (train options and predict) arms the deterministic fault
 injector: e.g. "transient=0.01;seed=7" fires seeded transient kernel faults
 (retried with modeled backoff — the trained model stays bit-identical),
-"kill=1@40" permanently loses device 1 at its 40th launch (feature-parallel
-training fails over to the survivors), "timeout=0.01" injects collective
-timeouts. GBMO_SIM_FAULTS sets the process default. Checkpointing: train
---checkpoint FILE --checkpoint-every N writes an atomic resumable snapshot
-(model + RNG + scores) every N trees; --resume continues from it and yields
-a final model bitwise-identical to an uninterrupted run.
+"kill=1@40" permanently loses device 1 at its 40th launch (training fails
+over to the survivors, and train reports the devices lost), "timeout=0.01"
+injects collective timeouts. GBMO_SIM_FAULTS sets the process default.
+Checkpointing: train --checkpoint FILE --checkpoint-every N writes an atomic
+resumable snapshot (model + RNG + scores) every N trees; --resume continues
+from it and yields a final model bitwise-identical to an uninterrupted run.
 
 train and bench accept --profile (print a per-kernel table of modeled time,
 bytes moved, atomic conflict rates and launch geometry) and --trace-out=FILE
@@ -823,21 +809,25 @@ int run(const std::vector<std::string>& argv, std::ostream& out,
     out << usage();
     return argv.empty() ? 2 : 0;
   }
+  using Command = int (*)(const Args&, std::ostream&);
+  static const std::map<std::string, Command> kCommands = {
+      {"generate", cmd_generate}, {"train", cmd_train},
+      {"evaluate", cmd_evaluate}, {"predict", cmd_predict},
+      {"serve", cmd_serve},       {"importance", cmd_importance},
+      {"info", cmd_info},         {"bench", cmd_bench},
+      {"compare", cmd_compare},   {"systems", cmd_systems}};
+  const auto command = kCommands.find(argv[0]);
+  if (command == kCommands.end()) {
+    err << "unknown command: " << argv[0] << "\n" << usage();
+    return 2;
+  }
   try {
     const Args args(argv, 1);
-    const auto& cmd = argv[0];
-    if (cmd == "generate") return cmd_generate(args, out);
-    if (cmd == "train") return cmd_train(args, out);
-    if (cmd == "evaluate") return cmd_evaluate(args, out);
-    if (cmd == "predict") return cmd_predict(args, out);
-    if (cmd == "serve") return cmd_serve(args, out);
-    if (cmd == "importance") return cmd_importance(args, out);
-    if (cmd == "info") return cmd_info(args, out);
-    if (cmd == "bench") return cmd_bench(args, out);
-    if (cmd == "compare") return cmd_compare(args, out);
-    if (cmd == "systems") return cmd_systems(args, out);
-    err << "unknown command: " << cmd << "\n" << usage();
-    return 2;
+    if (args.has("help")) {
+      out << usage();
+      return 0;
+    }
+    return command->second(args, out);
   } catch (const std::exception& e) {
     err << "error: " << e.what() << "\n";
     return 1;
