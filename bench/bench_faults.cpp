@@ -2,12 +2,12 @@
 // transient fault rates (0%, 1%, 5% per launch by default).
 //
 // Two things are measured per rate: the modeled overhead — pure backoff
-// charges under the "retry" phase, since a failed attempt itself costs
-// nothing — and the host wall-clock cost of re-running restage + launch for
-// every retried attempt. The zero-rate model is the baseline; every faulted
-// run must reproduce it bitwise (the substrate's recovery guarantee), so the
-// bench doubles as an end-to-end chaos regression at bench scale. Writes
-// BENCH_faults.json.
+// charges under the "retry" phase, since a faulted attempt runs no block and
+// costs nothing else — and the host wall-clock time of the run, whose
+// retries are only redraws at launch entry. The zero-rate model is the
+// baseline; every faulted run must reproduce it bitwise (the substrate's
+// recovery guarantee), so the bench doubles as an end-to-end chaos
+// regression at bench scale. Writes BENCH_faults.json.
 //
 // Args (for smoke runs): --rows N --features N --outputs N --trees N
 //                        --depth N --rates "0,0.01,0.05"

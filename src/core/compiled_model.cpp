@@ -270,9 +270,6 @@ void predict_compiled(sim::Device& dev, const CompiledModel& m,
     // block, so the writes are block-partitioned — no commit needed, and
     // the checker verifies exactly that.
     const int route_grid = static_cast<int>(groups.size()) * chunks;
-    // Retryable under fault injection: every scratch word is fully rewritten
-    // by its owning block, so a retried launch is idempotent as-is.
-    sim::with_retry(dev, [&] {
     sim::launch(dev, "predict_compiled_route", route_grid, kBlock,
                 [&](sim::BlockCtx& blk) {
       const auto& grp = groups[static_cast<std::size_t>(blk.block_id()) /
@@ -320,7 +317,6 @@ void predict_compiled(sim::Device& dev, const CompiledModel& m,
             static_cast<std::uint64_t>(g_trees) * sizeof(std::int32_t);
       });
     });
-    });
 
     // --- Phase 2: reduction. One block per row chunk accumulates each
     // row's score vector over all trees in ascending tree order, in place in
@@ -329,11 +325,6 @@ void predict_compiled(sim::Device& dev, const CompiledModel& m,
     // owned by exactly one block, so the writes are block-partitioned — no
     // commit, so the launch fans out, and the checker verifies exactly that
     // through each row's final store.
-    // Restage-on-retry: the tile's rows are re-zeroed before every attempt,
-    // so a retried reduce never adds onto a faulted attempt's partial sums.
-    sim::with_retry(dev, [&] {
-    std::fill(scores.begin() + static_cast<std::ptrdiff_t>(tile_lo * d),
-              scores.begin() + static_cast<std::ptrdiff_t>(tile_hi * d), 0.0f);
     sim::launch(dev, "predict_compiled_reduce", chunks, kBlock,
                 [&](sim::BlockCtx& blk) {
       const std::size_t row_lo =
@@ -364,7 +355,6 @@ void predict_compiled(sim::Device& dev, const CompiledModel& m,
       blk.stats().gmem_coalesced_bytes +=
           static_cast<std::uint64_t>(row_hi - row_lo) *
           static_cast<std::uint64_t>(d) * sizeof(float);
-    });
     });
   }
 }

@@ -21,28 +21,26 @@ void compute_gradients(sim::Device& dev, const Loss& loss,
   // Ranking losses couple all rows of a query: one simulated thread owns one
   // query group and fully rewrites its rows' g/h. Groups are disjoint row
   // ranges, so there are no cross-thread writes (bitwise-deterministic at
-  // any --sim-threads) and a retried launch is idempotent.
+  // any --sim-threads).
   if (loss.per_query()) {
     const auto spans = y.query_spans();
     const int grid =
         sim::blocks_for(std::max<std::size_t>(spans.size(), 1), kBlock);
-    sim::with_retry(dev, [&] {
-      sim::launch(dev, "compute_gradients_rank", grid, kBlock,
-                  [&](sim::BlockCtx& blk) {
-        blk.threads([&](int tid) {
-          const std::size_t q = static_cast<std::size_t>(blk.block_id()) * kBlock +
-                                static_cast<std::size_t>(tid);
-          if (q >= spans.size()) return;
-          const std::size_t b = spans[q].begin;
-          const std::size_t e = spans[q].end;
-          loss.query_gradients(scores, y, b, e, g, h);
-          const std::uint64_t len = e - b;
-          // Score reads + g/h writes per row; the pair sweep dominates the
-          // flop count, the rank gather is the random traffic.
-          blk.stats().gmem_coalesced_bytes += len * 4 * sizeof(float);
-          blk.stats().gmem_random_accesses += len;
-          blk.stats().flops += len * len * 8 + len * 32;
-        });
+    sim::launch(dev, "compute_gradients_rank", grid, kBlock,
+                [&](sim::BlockCtx& blk) {
+      blk.threads([&](int tid) {
+        const std::size_t q = static_cast<std::size_t>(blk.block_id()) * kBlock +
+                              static_cast<std::size_t>(tid);
+        if (q >= spans.size()) return;
+        const std::size_t b = spans[q].begin;
+        const std::size_t e = spans[q].end;
+        loss.query_gradients(scores, y, b, e, g, h);
+        const std::uint64_t len = e - b;
+        // Score reads + g/h writes per row; the pair sweep dominates the
+        // flop count, the rank gather is the random traffic.
+        blk.stats().gmem_coalesced_bytes += len * 4 * sizeof(float);
+        blk.stats().gmem_random_accesses += len;
+        blk.stats().flops += len * len * 8 + len * 32;
       });
     });
     return;
@@ -51,9 +49,6 @@ void compute_gradients(sim::Device& dev, const Loss& loss,
   const int grid = sim::blocks_for(n, kBlock);
   const std::uint64_t loss_flops = loss.flops_per_instance(d);
 
-  // Retryable under fault injection: every (row, output) is fully rewritten
-  // by its owning thread, so a retried launch is idempotent as-is.
-  sim::with_retry(dev, [&] {
   sim::launch(dev, "compute_gradients", grid, kBlock, [&](sim::BlockCtx& blk) {
     blk.threads([&](int tid) {
       const std::size_t i =
@@ -68,7 +63,6 @@ void compute_gradients(sim::Device& dev, const Loss& loss,
       blk.stats().flops += loss_flops;
     });
   });
-  });
 }
 
 void reduce_gradients(sim::Device& dev, std::span<const float> g,
@@ -79,10 +73,6 @@ void reduce_gradients(sim::Device& dev, std::span<const float> g,
   constexpr int kBlock = 256;
   const int grid = sim::blocks_for(std::max<std::size_t>(rows.size(), 1), kBlock);
 
-  // Restage-on-retry: a faulted attempt may have flushed some blocks'
-  // partials into `totals`, so each attempt re-zeroes the accumulator before
-  // launching — a retried launch is bit-identical to a clean first run.
-  sim::with_retry(dev, [&] {
   for (auto& t : totals) t = sim::GradPair{};
   sim::launch(dev, "reduce_gradients", grid, kBlock, [&](sim::BlockCtx& blk) {
     // One block strides over its share of rows, accumulates a block-private
@@ -115,7 +105,6 @@ void reduce_gradients(sim::Device& dev, std::span<const float> g,
     });
     // The per-block partial flush: d atomic adds per block.
     blk.stats().atomic_global_ops += static_cast<std::uint64_t>(n_outputs);
-  });
   });
 }
 

@@ -53,11 +53,11 @@ struct BuildTally {
   }
 };
 
-// Restage helper: builders accumulate into `out`, so zeroing this call's
-// feature slots before every launch attempt is what makes a build into a
-// reused histogram — or a retried build (sim/faults.h) — bit-identical to a
-// clean one. Touches only `in.features` — other devices' feature slices of
-// a shared histogram stay intact.
+// Restage helper: builders accumulate into `out`, which may be a histogram
+// reused from the grower's free list, so zeroing this call's feature slots
+// before the launch is what makes the build bit-identical to one into fresh
+// storage. Touches only `in.features` — other devices' feature slices of a
+// shared histogram stay intact.
 inline void restage_feature_slots(const HistBuildInput& in, NodeHistogram& out) {
   const auto& layout = *in.layout;
   const std::size_t d = static_cast<std::size_t>(layout.n_outputs());

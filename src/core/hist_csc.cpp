@@ -44,11 +44,9 @@ void build_level_histograms_csc(sim::Device& dev,
   }
   if (grid == 0) grid = 1;
 
-  // Restage: the sweep scatters into every node's histogram at this
-  // device's feature slots, so zero exactly those slots per attempt (the
-  // histograms may be reused buffers) — other devices' feature slices stay
-  // intact.
-  sim::with_retry(dev, [&] {
+  // The sweep scatters into every node's histogram at this device's feature
+  // slots, so zero exactly those slots first (the histograms may be reused
+  // buffers) — other devices' feature slices stay intact.
   for (const auto& node : per_node) detail::restage_feature_slots(slots, *node.hist);
   sim::launch(dev, "hist_csc_sweep", grid, kBlock, [&](sim::BlockCtx& blk) {
     // The functional sweep runs once (block 0); the launch geometry above
@@ -110,7 +108,6 @@ void build_level_histograms_csc(sim::Device& dev,
     s.atomic_global_ops += scattered * static_cast<std::uint64_t>(d) * 2;
     s.atomic_global_conflicts += conflicts;
     s.flops += scattered * static_cast<std::uint64_t>(d) * 2;
-  });
   });
 
   // Zero bins + zero-bin counts by subtraction, per node.

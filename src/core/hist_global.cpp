@@ -35,7 +35,6 @@ class GlobalBuilder final : public HistogramBuilder {
     const int chunks = std::max(1, sim::blocks_for(n_rows, kBlock));
     const int grid = static_cast<int>(in.features.size()) * chunks;
 
-    sim::with_retry(dev, [&] {
     detail::restage_feature_slots(in, out);
     sim::launch(dev, "hist_gmem", grid, kBlock, [&](sim::BlockCtx& blk) {
       const std::size_t fi = static_cast<std::size_t>(blk.block_id()) /
@@ -106,7 +105,6 @@ class GlobalBuilder final : public HistogramBuilder {
       // Collisions replay per word; banks pipeline across the d-wide update.
       s.atomic_global_conflicts += tally.conflict_hits;
       s.flops += tally.nonzero * static_cast<std::uint64_t>(d) * 2;
-    });
     });
 
     reconstruct_zero_bins(in, out);

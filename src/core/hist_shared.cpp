@@ -76,7 +76,6 @@ class SharedBuilder final : public HistogramBuilder {
       }
     }
 
-    sim::with_retry(dev, [&] {
     detail::restage_feature_slots(in, out);
     sim::launch(dev, "hist_smem", grid, 256, [&](sim::BlockCtx& blk) {
       const BlockJob job = jobs[static_cast<std::size_t>(blk.block_id())];
@@ -159,7 +158,6 @@ class SharedBuilder final : public HistogramBuilder {
       s.atomic_global_ops += flushed * 2;
       s.gmem_coalesced_bytes += flushed * 2 * sizeof(sim::GradPair);
       s.flops += tally.nonzero * static_cast<std::uint64_t>(d) * 2;
-    });
     });
 
     reconstruct_zero_bins(in, out);

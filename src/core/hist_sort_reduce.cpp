@@ -39,11 +39,6 @@ class SortReduceBuilder final : public HistogramBuilder {
     const int chunks = std::max(1, sim::blocks_for(n_rows, kBlock));
     const int grid = static_cast<int>(in.features.size()) * chunks;
 
-    // Restage-on-retry: blocks append pairs under commit, so a faulted
-    // attempt may leave a partial prefix — clear both arrays per attempt.
-    sim::with_retry(dev, [&] {
-    keys.clear();
-    payload_rows.clear();
     sim::launch(dev, "hist_sort_keys", grid, kBlock, [&](sim::BlockCtx& blk) {
       const std::size_t fi = static_cast<std::size_t>(blk.block_id()) /
                              static_cast<std::size_t>(chunks);
@@ -73,7 +68,6 @@ class SortReduceBuilder final : public HistogramBuilder {
       s.gmem_coalesced_bytes += elements * sizeof(std::uint32_t);
       s.gmem_random_accesses += in.packed ? (elements + 3) / 4 : elements;
     });
-    });
 
     const std::uint64_t n_pairs = keys.size();
     {
@@ -92,9 +86,6 @@ class SortReduceBuilder final : public HistogramBuilder {
     // gradient reduction is a gather over the sorted order — one pass that
     // accumulates run sums directly into the histogram (the real kernel uses
     // reduce_by_key per output; the data volume is identical).
-    // Restage-on-retry: the reduce accumulates into this call's feature
-    // slots of `out` (zero on entry), so re-zero them per attempt.
-    sim::with_retry(dev, [&] {
     detail::restage_feature_slots(in, out);
     sim::launch(dev, "hist_sort_reduce", std::max(1, sim::blocks_for(n_pairs, kBlock)),
                 kBlock, [&](sim::BlockCtx& blk) {
@@ -157,7 +148,6 @@ class SortReduceBuilder final : public HistogramBuilder {
           (sizeof(std::uint64_t) + sizeof(std::uint32_t) + 2 * sizeof(float));
       s.gmem_random_accesses += accum * static_cast<std::uint64_t>(d);
       s.flops += accum * static_cast<std::uint64_t>(d) * 2;
-    });
     });
     // One kernel launch per output dimension's reduce pass (the single
     // launch() above accounted for one of them).

@@ -28,8 +28,8 @@ class Loss {
   // dispatches one simulated thread per query group, calling
   // query_gradients for the rows [q_begin, q_end) instead of
   // instance_gradients. All spans are the full [n * d] arrays (d == 1 for
-  // ranking); the loss fully rewrites g/h for its rows, so a retried launch
-  // is idempotent and rows of different queries never alias.
+  // ranking); the loss fully rewrites g/h for its rows, and rows of
+  // different queries never alias.
   virtual bool per_query() const { return false; }
   virtual void query_gradients(std::span<const float> scores,
                                const data::Labels& y, std::size_t q_begin,

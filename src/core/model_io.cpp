@@ -1,13 +1,13 @@
 #include "core/model_io.h"
 
 #include <cstdio>
-#include <cstdlib>
 #include <fstream>
 #include <iomanip>
 #include <sstream>
 #include <string>
 
 #include "common/error.h"
+#include "common/parse.h"
 
 namespace gbmo::core {
 
@@ -16,14 +16,12 @@ constexpr const char* kMagic = "gbmo-model-v1";
 
 // operator<< renders non-finite floats as "nan"/"inf"/"-inf", which
 // operator>> refuses to parse back; thresholds of splits past the last cut
-// are legitimately +inf, so floats go through strtof instead.
-float read_float(std::istream& is) {
+// are legitimately +inf, so floats and doubles go through parse_number.
+template <typename T>
+T read_number(std::istream& is) {
   std::string tok;
-  GBMO_CHECK(static_cast<bool>(is >> tok)) << "truncated model file";
-  char* end = nullptr;
-  const float v = std::strtof(tok.c_str(), &end);
-  GBMO_CHECK(end != tok.c_str() && *end == '\0') << "bad float: " << tok;
-  return v;
+  GBMO_CHECK(static_cast<bool>(is >> tok)) << "truncated model or checkpoint";
+  return parse_number<T>(tok, "model value");
 }
 
 }  // namespace
@@ -102,7 +100,7 @@ Model read_model(std::istream& is) {
     std::size_t k = 0;
     GBMO_CHECK(static_cast<bool>(is >> tag >> k) && tag == "cuts");
     feature_cuts[f].resize(k);
-    for (auto& v : feature_cuts[f]) v = read_float(is);
+    for (auto& v : feature_cuts[f]) v = read_number<float>(is);
   }
   model.cuts = data::BinCuts::from_cut_arrays(feature_cuts, max_bins);
 
@@ -120,9 +118,9 @@ Model read_model(std::istream& is) {
       GBMO_CHECK(n.is_leaf() || static_cast<std::size_t>(n.feature) < n_features)
           << "split feature " << n.feature << " out of range for "
           << n_features << " features";
-      n.threshold = read_float(is);
+      n.threshold = read_number<float>(is);
       GBMO_CHECK(static_cast<bool>(is >> n.left >> n.right >> n.leaf_offset));
-      n.gain = read_float(is);
+      n.gain = read_number<float>(is);
       GBMO_CHECK(static_cast<bool>(is >> n.n_instances));
       // Tolerant format bump: a trailing default-left flag may follow on the
       // same line; files written before the flag existed read as left (the
@@ -141,7 +139,7 @@ Model read_model(std::istream& is) {
     }
     std::vector<float> leaf_values(n_leaf_values);
     GBMO_CHECK(static_cast<bool>(is >> tag) && tag == "leaves");
-    for (auto& v : leaf_values) v = read_float(is);
+    for (auto& v : leaf_values) v = read_number<float>(is);
     Tree tree(model.n_outputs);
     tree.set_raw(std::move(nodes), std::move(leaf_values), model.n_outputs);
     model.trees.push_back(std::move(tree));
@@ -158,7 +156,7 @@ Model read_model(std::istream& is) {
     model.categoricals.resize(n_tables);
     for (auto& t : model.categoricals) {
       GBMO_CHECK(static_cast<bool>(is >> tag >> t.col) && tag == "cat");
-      t.prior = read_float(is);
+      t.prior = read_number<float>(is);
       std::size_t k = 0;
       GBMO_CHECK(static_cast<bool>(is >> k));
       t.hashes.resize(k);
@@ -166,7 +164,7 @@ Model read_model(std::istream& is) {
       for (std::size_t i = 0; i < k; ++i) {
         GBMO_CHECK(static_cast<bool>(is >> t.hashes[i]))
             << "truncated categorical table";
-        t.values[i] = read_float(is);
+        t.values[i] = read_number<float>(is);
       }
     }
   } else {
@@ -177,15 +175,6 @@ Model read_model(std::istream& is) {
 
 namespace {
 constexpr const char* kCkptMagic = "gbmo-ckpt-v1";
-
-double read_double(std::istream& is) {
-  std::string tok;
-  GBMO_CHECK(static_cast<bool>(is >> tok)) << "truncated checkpoint file";
-  char* end = nullptr;
-  const double v = std::strtod(tok.c_str(), &end);
-  GBMO_CHECK(end != tok.c_str() && *end == '\0') << "bad double: " << tok;
-  return v;
-}
 }  // namespace
 
 void write_checkpoint(std::ostream& os, const Checkpoint& ckpt) {
@@ -229,17 +218,17 @@ Checkpoint read_checkpoint(std::istream& is) {
   std::size_t n = 0;
   GBMO_CHECK(static_cast<bool>(is >> tag >> n) && tag == "scores");
   ckpt.scores.resize(n);
-  for (auto& v : ckpt.scores) v = read_float(is);
+  for (auto& v : ckpt.scores) v = read_number<float>(is);
   GBMO_CHECK(static_cast<bool>(is >> tag) && tag == "earlystop");
-  ckpt.best_valid = read_double(is);
+  ckpt.best_valid = read_number<double>(is);
   GBMO_CHECK(static_cast<bool>(is >> ckpt.rounds_since_best >>
                                ckpt.best_tree_count));
   GBMO_CHECK(static_cast<bool>(is >> tag >> n) && tag == "validscores");
   ckpt.valid_scores.resize(n);
-  for (auto& v : ckpt.valid_scores) v = read_float(is);
+  for (auto& v : ckpt.valid_scores) v = read_number<float>(is);
   GBMO_CHECK(static_cast<bool>(is >> tag >> n) && tag == "validmetrics");
   ckpt.valid_metric_per_tree.resize(n);
-  for (auto& v : ckpt.valid_metric_per_tree) v = read_double(is);
+  for (auto& v : ckpt.valid_metric_per_tree) v = read_number<double>(is);
   GBMO_CHECK(static_cast<bool>(is >> tag) && tag == "model");
   is >> std::ws;  // consume the newline before the model's magic line
   ckpt.model = read_model(is);

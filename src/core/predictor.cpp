@@ -17,16 +17,6 @@ void update_scores_from_leaves(sim::Device& dev, const Tree& tree,
   GBMO_CHECK(scores.size() == n * static_cast<std::size_t>(d));
 
   constexpr int kBlock = 256;
-  // The applying launch increments scores in place, so a faulted attempt may
-  // leave some rows updated. Restage-on-retry: snapshot the scores when a
-  // fault plan is armed and restore before every attempt (the first
-  // attempt's restore is an identical copy — a no-op functionally).
-  std::vector<float> staged;
-  if (apply && sim::sim_faults_enabled()) {
-    staged.assign(scores.begin(), scores.end());
-  }
-  sim::with_retry(dev, [&] {
-  if (!staged.empty()) std::copy(staged.begin(), staged.end(), scores.begin());
   sim::launch(dev, "update_scores", std::max(1, sim::blocks_for(n, kBlock)),
               kBlock, [&](sim::BlockCtx& blk) {
     // Checked view (race/memory checker; non-counting — the bulk stats
@@ -53,7 +43,6 @@ void update_scores_from_leaves(sim::Device& dev, const Tree& tree,
       s.gmem_random_accesses += 1;  // leaf-vector gather
       s.flops += static_cast<std::uint64_t>(d);
     });
-  });
   });
 }
 
@@ -102,14 +91,8 @@ void predict_scores_device(sim::Device& dev, std::span<const Tree> trees,
 
   // One launch per tree, one thread per instance. Score writes are
   // block-partitioned (disjoint rows), so they may bypass commit — the
-  // checked view verifies exactly that. Each per-tree launch adds into the
-  // running totals, so retries snapshot/restore the scores around the
-  // faulted tree (only when a fault plan is armed).
-  std::vector<float> staged;
+  // checked view verifies exactly that.
   for (const auto& tree : trees) {
-    if (sim::sim_faults_enabled()) staged.assign(scores.begin(), scores.end());
-    sim::with_retry(dev, [&] {
-    if (!staged.empty()) std::copy(staged.begin(), staged.end(), scores.begin());
     sim::launch(dev, "predict_trees", chunks, kBlock, [&](sim::BlockCtx& blk) {
       auto scores_v = blk.global_view(scores, "scores");
       blk.threads([&](int tid) {
@@ -122,7 +105,6 @@ void predict_scores_device(sim::Device& dev, std::span<const Tree> trees,
           scores_v.add(off + k, values[k]);
         }
       });
-    });
     });
   }
 }

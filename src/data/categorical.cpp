@@ -125,29 +125,26 @@ CategoricalTrainEncoding encode_training_matrix(
   // Substrate charging: the canonical values above are what the modeled
   // `cat_encode` kernel produces — one thread per row hashes its cell, probes
   // the category map and writes the encoded float. Each (row, column) write
-  // is owned by exactly one thread and rewrites the same value, so a faulted
-  // launch is idempotent under sim::with_retry; the host fold above fixes
-  // the statistics regardless of block schedule, so the result is bitwise
-  // identical at any --sim-threads.
+  // is owned by exactly one thread and rewrites the same value; the host fold
+  // above fixes the statistics regardless of block schedule, so the result
+  // is bitwise identical at any --sim-threads.
   constexpr int kBlock = 256;
   const int grid = sim::blocks_for(std::max<std::size_t>(n, 1), kBlock);
   for (std::size_t c = 0; c < cat_cols.size(); ++c) {
     const auto col = static_cast<std::size_t>(cat_cols[c]);
     const std::vector<float> enc_col = result.x.col(col);
     for (sim::Device* dev : devs) {
-      sim::with_retry(*dev, [&] {
-        sim::launch(*dev, "cat_encode", grid, kBlock, [&](sim::BlockCtx& blk) {
-          blk.threads([&](int tid) {
-            const std::size_t i = static_cast<std::size_t>(blk.block_id()) * kBlock +
-                                  static_cast<std::size_t>(tid);
-            if (i >= n) return;
-            result.x.at(i, col) = enc_col[i];
-            // Read the raw cell + proxy target, one hashed map probe, write
-            // the encoded float.
-            blk.stats().gmem_coalesced_bytes += 3 * sizeof(float);
-            blk.stats().gmem_random_accesses += 1;
-            blk.stats().flops += 24;  // splitmix64 mix + smoothing divide
-          });
+      sim::launch(*dev, "cat_encode", grid, kBlock, [&](sim::BlockCtx& blk) {
+        blk.threads([&](int tid) {
+          const std::size_t i = static_cast<std::size_t>(blk.block_id()) * kBlock +
+                                static_cast<std::size_t>(tid);
+          if (i >= n) return;
+          result.x.at(i, col) = enc_col[i];
+          // Read the raw cell + proxy target, one hashed map probe, write
+          // the encoded float.
+          blk.stats().gmem_coalesced_bytes += 3 * sizeof(float);
+          blk.stats().gmem_random_accesses += 1;
+          blk.stats().flops += 24;  // splitmix64 mix + smoothing divide
         });
       });
     }

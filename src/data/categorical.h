@@ -112,8 +112,8 @@ struct CategoricalTrainEncoding {
 // Computes the canonical encoding host-side (the sequential fold above) and
 // charges one `cat_encode` kernel per categorical column to every device in
 // `devs` — one simulated thread per row hashing its cell and probing the
-// statistic map, writes fully owned per (row, column) so a faulted launch
-// retries idempotently. `devs` may be empty (host-only, e.g. tests).
+// statistic map, each (row, column) write owned by one thread. `devs` may
+// be empty (host-only, e.g. tests).
 CategoricalTrainEncoding encode_training_matrix(
     const DenseMatrix& x, const Labels& y, std::span<const std::int32_t> cat_cols,
     std::span<sim::Device* const> devs, float prior_weight = 1.0f);

@@ -137,9 +137,8 @@ void BlockCache::stage_one(Key key, std::size_t bytes) {
   }
   // Charge residency first (hard-fails with DeviceBudgetExceeded if the
   // pinned working set alone cannot fit), then model the PCIe transfer. The
-  // transfer is fault-injectable and retried via with_retry; the cache state
-  // below is only written after the transfer succeeds, so a retried attempt
-  // re-draws its fault decision without duplicating hits/misses.
+  // cache state below is only written after the transfer succeeds, so a
+  // transfer that throws (device loss, spent retry budget) leaves no trace.
   dev_.ledger_charge(kLedgerAccount, bytes);
   charge_transfer(bytes);
   used_ += bytes;
@@ -156,32 +155,15 @@ void BlockCache::stage_one(Key key, std::size_t bytes) {
 void BlockCache::charge_transfer(std::size_t bytes) {
   // Transfers are charged under their own phase so the profiler separates
   // paging overhead from kernel time; the kernel label lets targeted fault
-  // plans (kernel=block_h2d) hit only staging.
+  // plans (kernel=block_h2d) hit only staging. The fault gate is the one
+  // sim::launch passes: it retries transient faults (charging their
+  // backoff) and throws on device or node loss before the transfer is
+  // charged.
   const std::string prev_phase = dev_.phase();
   dev_.set_phase("page");
   sim::KernelTag tag(dev_, "block_h2d");
-  const auto op = [&]() {
-    // Mirror sim::launch's fault protocol: draw a decision keyed on the
-    // device's launch ordinal *before* charging anything, so a faulted
-    // attempt costs nothing and retries are deterministic at any
-    // --sim-threads.
-    if (sim::sim_faults_enabled()) {
-      const auto fire = sim::next_launch_fault(dev_, *sim::sim_fault_plan(), 1);
-      if (fire.kind == sim::FaultKind::kDeviceLoss) {
-        dev_.mark_lost();
-        throw sim::SimDeviceLost(dev_.id());
-      }
-      if (fire.kind == sim::FaultKind::kTransient) {
-        throw sim::SimFaultError(dev_.kernel(), dev_.id(), fire.ordinal, 0);
-      }
-    }
-    sim::KernelStats s;
-    s.gmem_coalesced_bytes = bytes;
-    dev_.charge_kernel(
-        s, static_cast<double>(bytes) / dev_.spec().pcie_bandwidth + 2e-5);
-  };
   try {
-    sim::with_retry(dev_, op);
+    sim::fault_gate(dev_, 1);
   } catch (...) {
     dev_.set_phase(prev_phase);
     // The tile never became resident: undo the residency charge so failover
@@ -189,6 +171,10 @@ void BlockCache::charge_transfer(std::size_t bytes) {
     dev_.ledger_release(kLedgerAccount, bytes);
     throw;
   }
+  sim::KernelStats s;
+  s.gmem_coalesced_bytes = bytes;
+  dev_.charge_kernel(
+      s, static_cast<double>(bytes) / dev_.spec().pcie_bandwidth + 2e-5);
   dev_.set_phase(prev_phase);
 }
 

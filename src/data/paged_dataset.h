@@ -20,11 +20,13 @@
 // in the budget (gated in tests/test_out_of_core.cpp).
 //
 // Transfers run on the orchestration thread (never inside sim::launch), so
-// they are deterministic at any --sim-threads. When a fault plan is armed
-// each transfer draws a launch-ordinal fault decision exactly like
-// sim::launch does and is wrapped in sim::with_retry; the cache mutates its
-// state only after the fault draw, so retried transfers are idempotent and
-// faulted runs recover bitwise (tested in OutOfCore.StagingTransientBitwise).
+// they are deterministic at any --sim-threads. Each transfer passes the same
+// fault gate as sim::launch (sim::fault_gate): transient faults are retried
+// there with modeled backoff, and kill= / kill-node= decisions lose the
+// device or its node. The cache mutates its state only after the gate, so
+// faulted runs recover bitwise (OutOfCore.StagingTransientBitwise) and a
+// node loss on a transfer fails over like one on a kernel
+// (OutOfCore.NodeKillOnTileTransferFailsOver).
 //
 // See DESIGN.md §12.
 #pragma once

@@ -82,8 +82,9 @@ class Profiler : public sim::StatsSink {
   std::uint64_t total_check_violations() const;
   // Fault-injection totals (KernelStats::faults_injected / fault_retries;
   // see sim/faults.h) — 0 unless a fault plan was armed. Injections count
-  // fired transient faults; retries count the re-launches that recovered
-  // them (retries < injections means some launch exhausted its budget).
+  // retried transient faults and collective timeouts; retries count the
+  // transient redraws alone, so injections minus retries counts the
+  // timeout charges.
   std::uint64_t total_faults_injected() const;
   std::uint64_t total_fault_retries() const;
   // Modeled seconds summed over every kernel and device.

@@ -93,11 +93,12 @@ class Device {
   void set_trace_level(int level) { level_ = level; }
 
   // --- fault injection (sim/faults.h) --------------------------------------
-  // Launch-attempt ordinal: bumped once per sim::launch when a fault plan is
-  // armed; the injector's decisions key on (seed, device id, ordinal), so
-  // they are independent of the scheduler's --sim-threads value. Permanent
-  // loss (a scripted "kill") makes every subsequent launch on this device
-  // throw SimDeviceLost at entry.
+  // Launch-attempt ordinal: bumped once per fault_gate draw (one per
+  // launch or tile-transfer attempt) when a fault plan is armed; the
+  // injector's decisions key on (seed, device id, ordinal), so they are
+  // independent of the scheduler's --sim-threads value. Permanent loss (a
+  // scripted "kill") makes every subsequent launch on this device throw
+  // SimDeviceLost at entry.
   std::uint64_t next_launch_ordinal() {
     return launch_ordinal_.fetch_add(1, std::memory_order_relaxed);
   }

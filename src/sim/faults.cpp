@@ -3,9 +3,10 @@
 #include <algorithm>
 #include <atomic>
 #include <cstdlib>
-#include <cstring>
 #include <mutex>
 #include <sstream>
+
+#include "common/parse.h"
 
 namespace gbmo::sim {
 
@@ -54,10 +55,11 @@ ScriptedFault parse_script(const std::string& key, const std::string& value) {
            : key == "kill-node" ? FaultKind::kNodeLoss
                                 : FaultKind::kTransient;
   const auto at = value.find('@');
-  GBMO_CHECK(at != std::string::npos && at > 0 && at + 1 < value.size())
+  GBMO_CHECK(at != std::string::npos)
       << "bad fault script '" << key << "=" << value << "' (want DEV@LAUNCH)";
-  s.device = std::atoi(value.substr(0, at).c_str());
-  s.launch = std::strtoull(value.c_str() + at + 1, nullptr, 10);
+  const std::string what = "--sim-faults " + key;
+  s.device = parse_number<int>(value.substr(0, at), what + " device");
+  s.launch = parse_number<std::uint64_t>(value.substr(at + 1), what + " launch");
   GBMO_CHECK(s.device >= 0) << "bad fault script device in '" << value << "'";
   return s;
 }
@@ -78,24 +80,28 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
         << "bad --sim-faults item '" << item << "' (want key=value)";
     const std::string key = item.substr(0, eq);
     const std::string value = item.substr(eq + 1);
+    const auto number = [&](auto& field) {
+      field = parse_number<std::remove_reference_t<decltype(field)>>(
+          value, "--sim-faults " + key);
+    };
     if (key == "transient") {
-      plan.transient_rate = std::atof(value.c_str());
+      number(plan.transient_rate);
     } else if (key == "timeout") {
-      plan.timeout_rate = std::atof(value.c_str());
+      number(plan.timeout_rate);
     } else if (key == "seed") {
-      plan.seed = std::strtoull(value.c_str(), nullptr, 10);
+      number(plan.seed);
     } else if (key == "kernel") {
       plan.kernel_filter = value;
     } else if (key == "device") {
-      plan.device_filter = std::atoi(value.c_str());
+      number(plan.device_filter);
     } else if (key == "fail" || key == "kill" || key == "kill-node") {
       plan.script.push_back(parse_script(key, value));
     } else if (key == "retries") {
-      plan.max_retries = std::atoi(value.c_str());
+      number(plan.max_retries);
     } else if (key == "backoff") {
-      plan.backoff_seconds = std::atof(value.c_str());
+      number(plan.backoff_seconds);
     } else if (key == "timeout-cost") {
-      plan.timeout_seconds = std::atof(value.c_str());
+      number(plan.timeout_seconds);
     } else {
       GBMO_CHECK(false) << "unknown --sim-faults key '" << key << "'";
     }
@@ -166,30 +172,20 @@ bool sim_faults_enabled() {
   return on;
 }
 
-namespace {
-std::string fault_message(const std::string& kernel, int device,
-                          std::uint64_t launch, int block) {
-  std::ostringstream os;
-  os << "sim-fault: transient failure in kernel '" << kernel << "' on device "
-     << device << " (launch #" << launch << ", block " << block << ")";
-  return os.str();
-}
-}  // namespace
-
-SimFaultError::SimFaultError(std::string kernel, int device,
-                             std::uint64_t launch, int block)
-    : Error(fault_message(kernel, device, launch, block)),
-      kernel_(std::move(kernel)),
-      device_(device),
-      launch_(launch),
-      block_(block) {}
-
 SimDeviceLost::SimDeviceLost(int device, bool node_wide)
     : Error("sim-fault: device " + std::to_string(device) +
             (node_wide ? "'s whole node lost (permanent)"
                        : " lost (permanent)")),
       device_(device),
       node_wide_(node_wide) {}
+
+namespace {
+
+struct FaultDecision {
+  FaultKind kind = FaultKind::kNone;
+  int block = -1;             // target block of a transient fault
+  std::uint64_t ordinal = 0;  // the launch-attempt ordinal that was drawn
+};
 
 FaultDecision next_launch_fault(Device& dev, const FaultPlan& plan,
                                 int grid_dim) {
@@ -226,20 +222,14 @@ FaultDecision next_launch_fault(Device& dev, const FaultPlan& plan,
   return d;
 }
 
-bool collective_timeout_fires(const FaultPlan& plan, std::uint64_t ordinal) {
-  if (plan.timeout_rate <= 0.0) return false;
-  const std::uint64_t h =
-      mix64(plan.seed ^ 0xc0111ec7e0ULL ^ mix64(ordinal));
-  return unit_draw(h) < plan.timeout_rate;
-}
-
-void charge_retry(Device& dev, const FaultPlan& plan, const SimFaultError& e,
-                  int attempt) {
+// Charges one retry's modeled backoff (bounded exponential) plus the
+// fault/retry counters to `dev` under the "retry" phase; the active kernel
+// label attributes it to the faulted kernel.
+void charge_retry(Device& dev, const FaultPlan& plan, int attempt) {
   // Bounded exponential backoff: base * 2^attempt, capped at 2^10 periods.
   const double backoff =
       plan.backoff_seconds *
       static_cast<double>(1ull << std::min(attempt, 10));
-  KernelTag tag(dev, e.kernel().c_str());
   const std::string phase = dev.phase();
   dev.set_phase("retry");
   KernelStats s;
@@ -247,6 +237,41 @@ void charge_retry(Device& dev, const FaultPlan& plan, const SimFaultError& e,
   s.fault_retries = 1;
   dev.charge_kernel(s, backoff);
   dev.set_phase(phase);
+}
+
+}  // namespace
+
+void fault_gate(Device& dev, int grid_dim) {
+  if (!sim_faults_enabled()) return;
+  const auto plan = sim_fault_plan();
+  for (int attempt = 0;; ++attempt) {
+    const FaultDecision fire = next_launch_fault(dev, *plan, grid_dim);
+    switch (fire.kind) {
+      case FaultKind::kNone:
+        return;
+      case FaultKind::kDeviceLoss:
+      case FaultKind::kNodeLoss:
+        dev.mark_lost();
+        throw SimDeviceLost(dev.id(), fire.kind == FaultKind::kNodeLoss);
+      case FaultKind::kTransient:
+        if (attempt >= plan->max_retries) {
+          std::ostringstream os;
+          os << "sim-fault: transient failure in kernel '" << dev.kernel()
+             << "' on device " << dev.id() << " (launch #" << fire.ordinal
+             << ", block " << fire.block << ")";
+          throw SimFaultError(os.str());
+        }
+        charge_retry(dev, *plan, attempt);
+        break;
+    }
+  }
+}
+
+bool collective_timeout_fires(const FaultPlan& plan, std::uint64_t ordinal) {
+  if (plan.timeout_rate <= 0.0) return false;
+  const std::uint64_t h =
+      mix64(plan.seed ^ 0xc0111ec7e0ULL ^ mix64(ordinal));
+  return unit_draw(h) < plan.timeout_rate;
 }
 
 }  // namespace gbmo::sim

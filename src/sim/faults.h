@@ -4,22 +4,23 @@
 // failures, permanent device loss and collective timeouts; the simulator is
 // the one place those hazards can be reproduced *deterministically*. When a
 // FaultPlan is armed (--sim-faults / GBMO_SIM_FAULTS / TrainConfig::faults),
-// every sim::launch draws a fault decision from a counter-based hash of
-// (plan seed, device id, per-device launch ordinal) — independent of the
-// host scheduler's --sim-threads value and of wall-clock, so a given plan
-// fires the same faults at the same launches on every run:
+// every sim::launch and every out-of-core tile transfer passes fault_gate()
+// before it does anything. The gate draws a fault decision from a
+// counter-based hash of (plan seed, device id, per-device launch ordinal) —
+// independent of the host scheduler's --sim-threads value and of
+// wall-clock, so a given plan fires the same faults at the same launches on
+// every run:
 //
-//  - Transient kernel failure: the launch throws SimFaultError when its
-//    target block starts, *before* any stats are charged (a failed launch
-//    costs nothing; the retry's backoff is charged separately under the
-//    "retry" phase). Recovery: sim::with_retry around the launch, with the
-//    caller re-staging all launch outputs so a retried attempt is
-//    bit-identical to a clean one.
+//  - Transient kernel failure: the gate charges one modeled backoff under
+//    the "retry" phase and draws again, up to the plan's retry budget; a
+//    faulted attempt runs no block and charges nothing else, so the launch
+//    that finally runs is bit-identical to a clean one. Once the budget is
+//    spent the gate throws SimFaultError.
 //  - Permanent device loss: a scripted "kill=DEV@LAUNCH" entry marks the
 //    device lost; this launch and every later launch on it throws
 //    SimDeviceLost at entry (no partial side effects). Recovery: the booster
-//    rebuilds the feature partition over surviving devices (feature-parallel
-//    mode) and redoes the interrupted boosting round.
+//    fails over to the surviving devices and redoes the interrupted
+//    boosting round.
 //  - Collective timeout: DeviceGroup collectives charge a modeled
 //    timeout-and-retransmit penalty to the "retry" phase before proceeding;
 //    the exchanged values are unaffected, so results stay bit-identical.
@@ -36,14 +37,13 @@
 //   kill-node=D@K     scripted loss of device D's WHOLE NODE at its K-th
 //                     launch (the booster maps the device to its node via the
 //                     group topology and marks every sibling lost)
-//   retries=N         with_retry attempt budget after the first failure
+//   retries=N         redraws a launch may take after its first failure
 //   backoff=S         modeled base backoff seconds charged per retry
 //   timeout-cost=S    modeled penalty seconds per collective timeout
 //
 // "", "0" and "off" parse to a disabled plan.
 #pragma once
 
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -70,7 +70,7 @@ struct FaultPlan {
   std::string kernel_filter;    // substring of the kernel label; empty = all
   int device_filter = -1;       // probabilistic faults on this device only
   std::vector<ScriptedFault> script;
-  int max_retries = 3;              // with_retry budget after the first failure
+  int max_retries = 3;              // redraws after a launch's first failure
   double backoff_seconds = 25e-6;   // modeled base backoff per retry
   double timeout_seconds = 250e-6;  // modeled penalty per collective timeout
 
@@ -79,7 +79,8 @@ struct FaultPlan {
   }
 
   // Parses the spec grammar above; throws gbmo::Error on an unknown key or
-  // malformed value. Empty / "0" / "off" return a disabled plan.
+  // on a value that does not parse whole. Empty / "0" / "off" return a
+  // disabled plan.
   static FaultPlan parse(const std::string& spec);
   std::string to_string() const;  // canonical spec (parse round-trips)
 };
@@ -94,22 +95,11 @@ void reset_sim_faults();                            // back to the env default
 bool sim_faults_enabled();  // one relaxed atomic load on the hot path
 
 // --- errors ------------------------------------------------------------------
-// Transient kernel failure: retryable (sim::with_retry). Thrown from the
-// faulted launch before any stats are charged.
+// Transient kernel failure whose retry budget is spent. Thrown from the
+// launch's fault gate before any block runs.
 class SimFaultError : public Error {
  public:
-  SimFaultError(std::string kernel, int device, std::uint64_t launch,
-                int block);
-  const std::string& kernel() const { return kernel_; }
-  int device() const { return device_; }
-  std::uint64_t launch() const { return launch_; }
-  int block() const { return block_; }
-
- private:
-  std::string kernel_;
-  int device_;
-  std::uint64_t launch_;
-  int block_;
+  using Error::Error;
 };
 
 // Permanent device loss: NOT retryable at the launch level. The training
@@ -127,52 +117,22 @@ class SimDeviceLost : public Error {
   bool node_wide_;
 };
 
-// --- launch-time decision ----------------------------------------------------
-struct FaultDecision {
-  FaultKind kind = FaultKind::kNone;
-  int block = -1;            // target block of a transient fault
-  std::uint64_t ordinal = 0; // the launch-attempt ordinal that was drawn
-};
-
-// Draws the fault decision for the launch starting now on `dev` (called by
-// sim::launch when faults are armed). Bumps the device's launch ordinal
-// exactly once per call — retried attempts draw fresh, equally deterministic
-// decisions — and never inspects scheduler state, so the decision sequence
-// is identical for every --sim-threads value.
-FaultDecision next_launch_fault(Device& dev, const FaultPlan& plan,
-                                int grid_dim);
+// --- the fault gate ----------------------------------------------------------
+// Called by sim::launch at entry and by the out-of-core block cache for each
+// tile transfer; a no-op unless a plan is armed. Draws the decision for the
+// launch starting now on `dev` (one launch ordinal per draw) and:
+//  - transient: charges one bounded-exponential backoff plus the
+//    fault/retry counters to `dev` under the "retry" phase (tagged with the
+//    active kernel label) and draws again; once the plan's retry budget is
+//    spent it throws SimFaultError instead;
+//  - kill= / kill-node=: marks the device lost and throws SimDeviceLost
+//    (node-wide for kill-node=).
+// Never inspects scheduler state, so the decision sequence is identical for
+// every --sim-threads value.
+void fault_gate(Device& dev, int grid_dim);
 
 // Deterministic per-collective timeout draw (DeviceGroup bumps and passes its
 // own collective ordinal).
 bool collective_timeout_fires(const FaultPlan& plan, std::uint64_t ordinal);
-
-// Charges one retry's modeled backoff (bounded exponential) plus the
-// fault/retry counters to `dev` under the "retry" phase, re-tagged with the
-// failed kernel's name so the profiler attributes it.
-void charge_retry(Device& dev, const FaultPlan& plan, const SimFaultError& e,
-                  int attempt);
-
-// Retry-with-bounded-backoff around a kernel-launching operation. `op` must
-// be self-restaging: it fully resets every output it writes before
-// launching, so a retried attempt is bit-identical to a clean first run.
-// Only SimFaultError is retried; SimDeviceLost (and everything else)
-// propagates. Zero overhead when no plan is armed.
-template <typename Op>
-void with_retry(Device& dev, Op&& op) {
-  if (!sim_faults_enabled()) {
-    op();
-    return;
-  }
-  const auto plan = sim_fault_plan();
-  for (int attempt = 0;; ++attempt) {
-    try {
-      op();
-      return;
-    } catch (const SimFaultError& e) {
-      if (attempt >= plan->max_retries) throw;
-      charge_retry(dev, *plan, e, attempt);
-    }
-  }
-}
 
 }  // namespace gbmo::sim

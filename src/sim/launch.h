@@ -34,6 +34,11 @@
 // Fanned-out workers each get a private KernelStats, merged in fixed worker
 // order after the launch; all counters are integers, so the merged totals
 // equal the sequential path's exactly.
+//
+// Fault injection happens before any of this: a launch first passes
+// sim::fault_gate (sim/faults.h), which retries transient faults with
+// modeled backoff and throws on device loss or a spent retry budget. No
+// block runs on a faulted attempt, so launch sites carry no retry code.
 #pragma once
 
 #include <algorithm>
@@ -152,21 +157,8 @@ struct LaunchResult {
 // failing block id is rethrown, at any worker count.
 template <typename Kernel>
 LaunchResult launch(Device& dev, int grid_dim, int block_dim, Kernel&& kernel) {
-  // Fault injection (sim/faults.h): the decision is drawn at launch entry
-  // from (plan seed, device id, launch ordinal) — deterministic for every
-  // --sim-threads value. Device loss throws before any block runs (no
-  // partial side effects); a transient fault throws when its target block
-  // starts, *before* charge_kernel, so a failed attempt costs nothing and
-  // the fault-free run's modeled time is unchanged.
-  FaultDecision fire;
-  if (sim_faults_enabled()) {
-    fire = next_launch_fault(dev, *sim_fault_plan(), grid_dim);
-    if (fire.kind == FaultKind::kDeviceLoss ||
-        fire.kind == FaultKind::kNodeLoss) {
-      dev.mark_lost();
-      throw SimDeviceLost(dev.id(), fire.kind == FaultKind::kNodeLoss);
-    }
-  }
+  // A launch that passes the gate runs exactly as a fault-free one.
+  fault_gate(dev, grid_dim);
 
   KernelStats merged;
   merged.blocks = static_cast<std::uint64_t>(grid_dim);
@@ -182,9 +174,6 @@ LaunchResult launch(Device& dev, int grid_dim, int block_dim, Kernel&& kernel) {
 
   // Runs block b into `stats`; returns whether it committed.
   const auto run_block = [&](int b, KernelStats& stats, bool may_commit) {
-    if (fire.kind == FaultKind::kTransient && b == fire.block) {
-      throw SimFaultError(dev.kernel(), dev.id(), fire.ordinal, b);
-    }
     std::unique_ptr<BlockCheck> bc;
     if (lc) bc = std::make_unique<BlockCheck>(*lc, b, block_dim);
     BlockCtx blk(b, block_dim, grid_dim, stats, may_commit, bc.get());

@@ -25,10 +25,10 @@
 //
 // Chaos mode: GBMO_FUZZ_FAULT_RATE=R (R in (0,1]) arms the deterministic
 // fault injector (sim/faults.h) with a transient rate of R for the whole
-// run. Every system reaches kernels through the hardened core launch sites
-// (retry + restage), so all the invariants above — clean checker, 1-vs-4
-// thread bitwise equality, reference agreement — must hold unchanged while
-// faults fire and are retried.
+// run. Every launch redraws its transient faults at entry, before any block
+// runs, so all the invariants above — clean checker, 1-vs-4 thread bitwise
+// equality, reference agreement — must hold unchanged while faults fire and
+// are retried.
 #include <cmath>
 #include <cstdint>
 #include <cstdlib>

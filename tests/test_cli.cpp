@@ -155,6 +155,39 @@ TEST(CliErrors, UnknownCommandAndMissingOptions) {
   }
 }
 
+// A numeric option parses whole or fails with a message naming the option
+// and the value; a prefix such as "10x" is never read as 10.
+TEST(CliErrors, RejectsMalformedNumbers) {
+  const std::string train_opts[] = {"--data", "d.csv", "--features", "8",
+                                    "--model", "m.model"};
+  const struct {
+    std::vector<std::string> args;
+    std::string option;
+    std::string value;
+  } cases[] = {
+      {{"generate", "--task", "multiclass", "--n", "10x", "--out", "g.csv"},
+       "--n", "10x"},
+      {{"train", "--lr", "0.5x"}, "--lr", "0.5x"},
+      {{"train", "--trees", "abc"}, "--trees", "abc"},
+      {{"train", "--max-device-mb", "99999999999999999999"},
+       "--max-device-mb", "99999999999999999999"},
+      {{"train", "--goss", "0.2,0.1x"}, "--goss", "0.1x"},
+      {{"train", "--cat-cols", "0,3x"}, "--cat-cols", "3x"},
+      {{"train", "--sim-faults", "kill=x@1"}, "kill device", "x"},
+      {{"train", "--sim-faults", "transient=abc"}, "transient", "abc"},
+  };
+  for (const auto& c : cases) {
+    auto args = c.args;
+    if (args[0] == "train") args.insert(args.end(), std::begin(train_opts),
+                                        std::end(train_opts));
+    std::ostringstream out, err;
+    EXPECT_EQ(run(args, out, err), 1) << c.value;
+    EXPECT_NE(err.str().find(c.option), std::string::npos) << err.str();
+    EXPECT_NE(err.str().find("'" + c.value + "'"), std::string::npos)
+        << err.str();
+  }
+}
+
 TEST(CliErrors, ModelLoadFailureExitsNonzeroWithClearMessage) {
   // Missing file: nonzero exit, message names the path and the problem.
   const auto missing = run_cli({"info", "--model", tmp_path("never_written")});

@@ -209,9 +209,9 @@ TEST(CompiledModel, DeviceBitIdenticalAcrossSimThreads) {
   sim::set_sim_threads(0);
 }
 
-// The reduction accumulates in place into the score rows, so a transient
-// fault part-way through a launch leaves partial sums behind; the restage
-// must re-zero them so every retried batch is bit-identical to a clean one.
+// The reduction accumulates in place into the score rows, so a retried
+// reduce must leave no partial sums behind: every retried batch is
+// bit-identical to a clean one.
 TEST(CompiledModel, RetriedReduceMatchesCleanRun) {
   const auto d = make_data(5);
   GbmoBooster booster(small_cfg());

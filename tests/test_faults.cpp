@@ -1,7 +1,7 @@
 // Chaos suite for the deterministic fault-injection substrate (sim/faults.h)
-// and the recovery layers built on it: retry-with-restage around kernel
-// launches, feature-parallel device-loss failover, checkpoint/resume, and
-// collective-timeout absorption.
+// and the recovery layers built on it: the launch fault gate's retries,
+// device-loss failover, checkpoint/resume, and collective-timeout
+// absorption.
 //
 // The load-bearing property throughout: an armed fault plan may change
 // modeled time (the "retry" phase) but never the trained model — every
@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <cstring>
+#include <map>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -132,15 +133,24 @@ TEST(FaultPlan, BadSpecThrows) {
   EXPECT_THROW(sim::FaultPlan::parse("transient=2.0"), Error);
   EXPECT_THROW(sim::FaultPlan::parse("kill=1"), Error);
   EXPECT_THROW(sim::FaultPlan::parse("fail=-1@3"), Error);
+  // Every value must parse whole: no prefix reads, no empty values.
+  for (const char* spec :
+       {"kill=x@1", "kill=1x@1", "kill=1@5x", "kill=@5", "kill=1@",
+        "kill-node=1@x", "transient=abc", "transient=0.1x", "timeout=",
+        "seed=12z", "seed=-1", "device=1x", "retries=2x", "backoff=1e-4s",
+        "timeout-cost=x"}) {
+    EXPECT_THROW(sim::FaultPlan::parse(spec), Error) << spec;
+  }
 }
 
 // ---------------------------------------------------------------------------
 // Substrate-level determinism and retry mechanics
 
 // Which launch ordinals fault is a pure function of (seed, device id,
-// ordinal): two fresh devices replay the identical fault sequence.
+// ordinal): two fresh devices replay the identical fault sequence. With no
+// retries, every drawn fault surfaces as a SimFaultError.
 TEST(Faults, DeterministicFiringForFixedSeed) {
-  ScopedFaults armed("transient=0.3;seed=42");
+  ScopedFaults armed("transient=0.3;seed=42;retries=0");
   const auto run = [] {
     sim::Device dev(sim::DeviceSpec::rtx4090());
     std::vector<int> fired;
@@ -162,21 +172,22 @@ TEST(Faults, DeterministicFiringForFixedSeed) {
   EXPECT_EQ(a, b);
 }
 
+// The launch redraws a transient fault at entry and charges one backoff per
+// retry. Faults target random blocks, yet a faulted attempt runs none of
+// them, so every block runs exactly once per launch with nothing restaged.
 TEST(Faults, WithRetryRecoversAndChargesBackoff) {
-  ScopedFaults armed("fail=0@2;backoff=1e-4");
+  ScopedFaults armed("transient=0.5;seed=5;retries=20;backoff=1e-4");
   sim::Device dev(sim::DeviceSpec::rtx4090());
-  std::vector<int> hits(64, 0);
-  for (int i = 0; i < 4; ++i) {
-    sim::with_retry(dev, [&] {
-      std::fill(hits.begin(), hits.end(), 0);  // self-restaging
-      sim::launch(dev, "chaos_probe", 2, 32, [&](sim::BlockCtx& blk) {
-        blk.threads([&](int tid) { ++hits[blk.block_id() * 32 + tid]; });
-      });
+  std::vector<int> hits(8 * 32, 0);
+  for (int i = 0; i < 16; ++i) {
+    sim::launch(dev, "chaos_probe", 8, 32, [&](sim::BlockCtx& blk) {
+      blk.threads([&](int tid) { ++hits[blk.block_id() * 32 + tid]; });
     });
   }
-  for (int h : hits) EXPECT_EQ(h, 1);
-  EXPECT_EQ(dev.total_stats().faults_injected, 1u);
-  EXPECT_EQ(dev.total_stats().fault_retries, 1u);
+  for (int h : hits) EXPECT_EQ(h, 16);
+  EXPECT_GT(dev.total_stats().faults_injected, 0u);
+  EXPECT_EQ(dev.total_stats().fault_retries,
+            dev.total_stats().faults_injected);
   ASSERT_TRUE(dev.phase_seconds().count("retry"));
   EXPECT_GT(dev.phase_seconds().at("retry"), 0.0);
 }
@@ -184,10 +195,8 @@ TEST(Faults, WithRetryRecoversAndChargesBackoff) {
 TEST(Faults, RetryBudgetExhaustionThrows) {
   ScopedFaults armed("transient=1.0;retries=2");
   sim::Device dev(sim::DeviceSpec::rtx4090());
-  EXPECT_THROW(sim::with_retry(dev, [&] {
-                 sim::launch(dev, "chaos_probe", 1, 32,
-                             [](sim::BlockCtx& blk) { blk.threads([](int) {}); });
-               }),
+  EXPECT_THROW(sim::launch(dev, "chaos_probe", 1, 32,
+                           [](sim::BlockCtx& blk) { blk.threads([](int) {}); }),
                sim::SimFaultError);
   // Budget of 2 retries after the first failure: 2 charged backoffs (the
   // final, budget-exceeding failure propagates instead of charging).
@@ -514,6 +523,95 @@ TEST(Faults, ProfilerSeesInjectionAndRetryCounters) {
   EXPECT_GT(profiler.total_faults_injected(), 0u);
   // Default budget recovered every injection: one backoff per fault.
   EXPECT_EQ(profiler.total_fault_retries(), profiler.total_faults_injected());
+}
+
+// Every modeled charge of a faulted fit, as hexfloats: where a retry's
+// backoff lands, in which phase, and how many faults and retries the
+// profiler counts. A change to the retry loop, its draw order or its phase
+// attribution fails here even when the model stays bitwise.
+struct PinnedFaultCharges {
+  double modeled_seconds;
+  std::map<std::string, double> phase_seconds;  // every phase, retry included
+  std::uint64_t faults_injected;
+  std::uint64_t fault_retries;
+};
+
+void expect_fault_charges(const core::TrainConfig& cfg,
+                          const PinnedFaultCharges& pin) {
+  core::GbmoBooster booster(cfg);
+  obs::Profiler profiler(/*capture_trace=*/false);
+  booster.set_sink(&profiler);
+  (void)booster.fit(make_data());
+  const auto& r = booster.report();
+  EXPECT_EQ(r.modeled_seconds, pin.modeled_seconds)
+      << std::hexfloat << r.modeled_seconds;
+  EXPECT_EQ(r.phase_seconds.size(), pin.phase_seconds.size());
+  for (const auto& [phase, seconds] : r.phase_seconds) {
+    ASSERT_TRUE(pin.phase_seconds.count(phase)) << phase;
+    EXPECT_EQ(seconds, pin.phase_seconds.at(phase))
+        << phase << " " << std::hexfloat << seconds;
+  }
+  EXPECT_EQ(profiler.total_faults_injected(), pin.faults_injected);
+  EXPECT_EQ(profiler.total_fault_retries(), pin.fault_retries);
+}
+
+TEST(Faults, RetryChargesArePinned) {
+  struct Case {
+    core::HistMethod method;
+    PinnedFaultCharges pin;
+  };
+  const Case cases[] = {
+      {core::HistMethod::kAuto,
+       {0x1.5a6601c53422bp-9,
+        {{"gradient", 0x1.8e7fb30b64e1p-15},
+         {"histogram", 0x1.1680eda4cd856p-10},
+         {"leaf", 0x1.0123ce067aa5p-15},
+         {"partition", 0x1.aa8829e55f6b7p-12},
+         {"retry", 0x1.bda5119ce0762p-12},
+         {"setup", 0x1.c68aef754f938p-14},
+         {"split", 0x1.e9bdc96f3df7cp-12},
+         {"update", 0x1.8ea89a95753d7p-14}},
+        15, 15}},
+      {core::HistMethod::kSortReduce,
+       {0x1.8d8e1db1e6937p-8,
+        {{"gradient", 0x1.8e7fb30b64e1p-15},
+         {"histogram", 0x1.2457ea09ce1f7p-8},
+         {"leaf", 0x1.0123ce067aa5p-15},
+         {"partition", 0x1.aa8829e55f6b7p-12},
+         {"retry", 0x1.d7dbf487fcb95p-12},
+         {"setup", 0x1.c68aef754f938p-14},
+         {"split", 0x1.e9bdc96f3df7cp-12},
+         {"update", 0x1.8ea89a95753d7p-14}},
+        16, 16}},
+  };
+  for (const auto& c : cases) {
+    for (const int threads : {1, 4}) {
+      SCOPED_TRACE(std::string(core::hist_method_name(c.method)) + " t" +
+                   std::to_string(threads));
+      ScopedThreads scoped(threads);
+      auto cfg = cfg_base();
+      cfg.hist_method = c.method;
+      cfg.faults = "transient=0.08;seed=11";
+      expect_fault_charges(cfg, c.pin);
+    }
+  }
+
+  SCOPED_TRACE("out-of-core");
+  auto cfg = cfg_base();
+  cfg.stream_chunk_rows = 64;
+  cfg.device_budget_bytes = 2048;
+  cfg.faults = "transient=0.3;kernel=block_h2d;retries=10";
+  expect_fault_charges(cfg, {0x1.af0c18a10ebacp-4,
+                             {{"gradient", 0x1.8e7fb30b64e1p-15},
+                              {"histogram", 0x1.1680eda4cd856p-10},
+                              {"leaf", 0x1.0123ce067aa5p-15},
+                              {"page", 0x1.be696f5778f64p-5},
+                              {"partition", 0x1.aa8829e55f6b7p-12},
+                              {"retry", 0x1.8e56041893724p-5},
+                              {"setup", 0x1.0ed50b225443ep-17},
+                              {"split", 0x1.e9bdc96f3df7cp-12},
+                              {"update", 0x1.8ea89a95753d7p-14}},
+                             1148, 1148});
 }
 
 TEST(Faults, KernelFilterConfinesFaultsToMatchingKernels) {

@@ -315,8 +315,8 @@ TEST(OutOfCore, StagingTransientBitwise) {
   const auto clean = fit(d, cfg);
   FitResult faulted;
   {
-    // Transient faults aimed only at tile transfers; with_retry re-draws and
-    // recovers each one, so the model must come out bitwise identical.
+    // Transient faults aimed only at tile transfers; the fault gate redraws
+    // and recovers each one, so the model must come out bitwise identical.
     sim::set_sim_faults("transient=0.05;seed=11;kernel=block_h2d;retries=16");
     faulted = fit(d, cfg);
     sim::reset_sim_faults();
@@ -327,6 +327,36 @@ TEST(OutOfCore, StagingTransientBitwise) {
   EXPECT_EQ(clean.report.page_bytes_transferred,
             faulted.report.page_bytes_transferred);
   EXPECT_GE(faulted.report.modeled_seconds, clean.report.modeled_seconds);
+}
+
+// A node loss drawn on a tile transfer takes the whole node down, exactly as
+// one drawn on a kernel launch does, and training fails over to the other
+// node with the clean run's model.
+TEST(OutOfCore, NodeKillOnTileTransferFailsOver) {
+  const auto d = dense_data();
+  auto cfg = cfg_base();
+  cfg.n_devices = 4;
+  cfg.n_nodes = 2;
+  cfg.multi_gpu = MultiGpuMode::kDataParallel;
+  cfg.device_budget_bytes = 1 << 20;
+  cfg.stream_chunk_rows = 200;
+  const auto clean = fit(d, cfg);
+
+  // Device 2's launch ordinal 5 is one of its first tile transfers.
+  {
+    auto probe = cfg;
+    probe.faults = "fail=2@5";
+    GbmoBooster booster(probe);
+    obs::Profiler profiler(/*capture_trace=*/false);
+    booster.set_sink(&profiler);
+    booster.fit(d);
+    ASSERT_EQ(profiler.kernels().at("block_h2d").stats.faults_injected, 1u);
+  }
+
+  cfg.faults = "kill-node=2@5";
+  const auto killed = fit(d, cfg);
+  EXPECT_EQ(killed.report.devices_lost, 2);
+  expect_same_model(clean.model, killed.model, "kill-node on block_h2d");
 }
 
 // --- slow sweep -------------------------------------------------------------

@@ -648,8 +648,8 @@ TEST(WorkloadsSlow, RankingTrainingBitwiseAcrossThreadsAndTopologies) {
   sweep_bitwise(rank_dataset(), cfg);
 }
 
-// Transient faults + retries must not perturb either workload: the encode
-// and gradient kernels are idempotent, so a retried schedule reproduces the
+// Transient faults + retries must not perturb either workload: a faulted
+// launch attempt runs no block, so a retried schedule reproduces the
 // unfaulted model byte for byte.
 TEST(WorkloadsSlow, WorkloadsBitwiseUnderTransientFaultRetries) {
   for (const bool ranking : {false, true}) {

@@ -9,6 +9,7 @@
 #include <sstream>
 
 #include "baselines/system.h"
+#include "common/parse.h"
 #include "common/table.h"
 #include "core/booster.h"
 #include "obs/profiler.h"
@@ -70,12 +71,12 @@ class Args {
 
   long integer(const std::string& key, long fallback) const {
     const auto s = str(key);
-    return s.empty() ? fallback : std::stol(s);
+    return s.empty() ? fallback : parse_number<long>(s, "--" + key);
   }
 
   double number(const std::string& key, double fallback) const {
     const auto s = str(key);
-    return s.empty() ? fallback : std::stod(s);
+    return s.empty() ? fallback : parse_number<double>(s, "--" + key);
   }
 
   bool flag(const std::string& key) const {
@@ -188,12 +189,8 @@ core::TrainConfig parse_train_config(const Args& args) {
     if (comma == std::string::npos) {
       throw Error("bad --goss '" + spec + "': expected a,b (e.g. 0.2,0.1)");
     }
-    try {
-      cfg.goss_a = std::stod(spec.substr(0, comma));
-      cfg.goss_b = std::stod(spec.substr(comma + 1));
-    } catch (const std::exception&) {
-      throw Error("bad --goss '" + spec + "': expected a,b (e.g. 0.2,0.1)");
-    }
+    cfg.goss_a = parse_number<double>(spec.substr(0, comma), "--goss");
+    cfg.goss_b = parse_number<double>(spec.substr(comma + 1), "--goss");
   }
   // Categorical columns (DESIGN.md §14): --cat-cols 0,3,7 replaces those
   // columns with ordered target statistics before quantization.
@@ -201,14 +198,9 @@ core::TrainConfig parse_train_config(const Args& args) {
     const auto spec = args.str("cat-cols");
     std::stringstream cols(spec);
     std::string tok;
-    try {
-      while (std::getline(cols, tok, ',')) {
-        if (tok.empty()) continue;
-        cfg.cat_cols.push_back(static_cast<std::int32_t>(std::stol(tok)));
-      }
-    } catch (const std::exception&) {
-      throw Error("bad --cat-cols '" + spec +
-                  "': expected comma-separated column indices (e.g. 0,3,7)");
+    while (std::getline(cols, tok, ',')) {
+      if (tok.empty()) continue;
+      cfg.cat_cols.push_back(parse_number<std::int32_t>(tok, "--cat-cols"));
     }
   }
   cfg.hist_budget_mb =
