@@ -108,10 +108,12 @@ if [[ "${GBMO_CHECK_TSAN:-1}" != "0" ]]; then
     # on small grids / 1-core hosts. Only commit-free launches fan out
     # (ordered ones run inline at any width, sim/launch.h): gradients, score
     # updates and the compiled engine's route and reduce kernels, which
-    # CompiledModel runs at 1 and 4 threads.
+    # CompiledModel runs at 1 and 4 threads. ServeFaults carries engine
+    # exceptions through the batcher's futures and drains in_flight_ on the
+    # throw path.
     GBMO_SIM_THREADS=4 ctest --test-dir "$tsan_build" --output-on-failure \
-      -R 'ThreadPool|SimParallel|CompiledModel|Registry\.|ModelServer\.|Serve\.Batcher|OutOfCore|Distributed|Workloads'
-    echo "check: TSan stage OK (ThreadPool + SimParallel + CompiledModel + serve registry/batcher + out-of-core + distributed + workloads under -fsanitize=thread)"
+      -R 'ThreadPool|SimParallel|CompiledModel|Registry\.|ModelServer\.|Serve\.Batcher|ServeFaults|OutOfCore|Distributed|Workloads'
+    echo "check: TSan stage OK (ThreadPool + SimParallel + CompiledModel + serve registry/batcher + ServeFaults batcher fault path + out-of-core + distributed + workloads under -fsanitize=thread)"
   else
     echo "check: TSan stage skipped (toolchain cannot link -fsanitize=thread)"
   fi

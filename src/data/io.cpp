@@ -5,6 +5,7 @@
 #include <sstream>
 
 #include "common/error.h"
+#include "common/parse.h"
 
 namespace gbmo::data {
 
@@ -16,6 +17,26 @@ std::vector<std::string> split_line(const std::string& line, char sep) {
   std::istringstream is(line);
   while (std::getline(is, cell, sep)) out.push_back(cell);
   return out;
+}
+
+// Reads the next line without its line ending, so CRLF files read like LF.
+bool next_line(std::istream& is, std::string& line) {
+  if (!std::getline(is, line)) return false;
+  if (!line.empty() && line.back() == '\r') line.pop_back();
+  return true;
+}
+
+// Parses one whole token of a data file; a failure names the file format,
+// the 1-based line and the 1-based column (CSV cell or libsvm field).
+template <typename T>
+T parse_cell(const std::string& token, const char* format, std::size_t line,
+             std::size_t column) {
+  try {
+    return parse_number<T>(token, "value");
+  } catch (const Error& e) {
+    throw Error(std::string(format) + " line " + std::to_string(line) +
+                ", column " + std::to_string(column) + ": " + e.what());
+  }
 }
 
 }  // namespace
@@ -52,11 +73,12 @@ void write_csv(std::ostream& os, const Dataset& d) {
 
 Dataset read_csv(std::istream& is, std::size_t n_features) {
   std::string line;
-  GBMO_CHECK(static_cast<bool>(std::getline(is, line))) << "empty CSV";
+  GBMO_CHECK(next_line(is, line)) << "empty CSV";
   const auto header = split_line(line, ',');
   GBMO_CHECK(header.size() == 3 && header[0] == "task") << "bad CSV header";
   const TaskKind task = parse_task(header[1]);
-  const int n_outputs = std::stoi(header[2]);
+  const int n_outputs = parse_cell<int>(header[2], "CSV", 1, 3);
+  GBMO_CHECK(n_outputs >= 1) << "CSV header has " << n_outputs << " outputs";
   const std::size_t label_cells =
       task == TaskKind::kMulticlass ? 1
       : task == TaskKind::kRanking  ? 2  // query id + relevance
@@ -68,34 +90,37 @@ Dataset read_csv(std::istream& is, std::size_t n_features) {
   std::vector<float> targets;
   std::vector<std::uint32_t> query_ids;
   std::size_t n = 0;
-  while (std::getline(is, line)) {
+  std::size_t line_no = 1;
+  while (next_line(is, line)) {
+    ++line_no;
     if (line.empty()) continue;
     const auto cells = split_line(line, ',');
     GBMO_CHECK(cells.size() == n_features + label_cells)
-        << "line " << n + 2 << " has " << cells.size() << " cells";
+        << "CSV line " << line_no << " has " << cells.size() << " cells";
     for (std::size_t f = 0; f < n_features; ++f) {
-      features.push_back(std::stof(cells[f]));
+      features.push_back(parse_cell<float>(cells[f], "CSV", line_no, f + 1));
     }
     switch (task) {
       case TaskKind::kMulticlass:
-        class_ids.push_back(std::stoi(cells[n_features]));
+        class_ids.push_back(parse_cell<std::int32_t>(
+            cells[n_features], "CSV", line_no, n_features + 1));
         break;
       case TaskKind::kMultilabel:
-        for (int k = 0; k < n_outputs; ++k) {
-          indicators.push_back(static_cast<std::uint8_t>(
-              std::stoi(cells[n_features + static_cast<std::size_t>(k)])));
+        for (std::size_t c = n_features; c < cells.size(); ++c) {
+          indicators.push_back(
+              parse_cell<std::uint8_t>(cells[c], "CSV", line_no, c + 1));
         }
         break;
       case TaskKind::kMultiregression:
-        for (int k = 0; k < n_outputs; ++k) {
-          targets.push_back(
-              std::stof(cells[n_features + static_cast<std::size_t>(k)]));
+        for (std::size_t c = n_features; c < cells.size(); ++c) {
+          targets.push_back(parse_cell<float>(cells[c], "CSV", line_no, c + 1));
         }
         break;
       case TaskKind::kRanking:
-        query_ids.push_back(
-            static_cast<std::uint32_t>(std::stoul(cells[n_features])));
-        targets.push_back(std::stof(cells[n_features + 1]));
+        query_ids.push_back(parse_cell<std::uint32_t>(
+            cells[n_features], "CSV", line_no, n_features + 1));
+        targets.push_back(parse_cell<float>(cells[n_features + 1], "CSV",
+                                            line_no, n_features + 2));
         break;
     }
     ++n;
@@ -187,12 +212,13 @@ Dataset read_libsvm(std::istream& is, std::size_t n_features, TaskKind task,
 
   std::string line;
   std::size_t line_no = 0;
-  while (std::getline(is, line)) {
+  while (next_line(is, line)) {
     ++line_no;
     if (line.empty()) continue;
     std::istringstream ls(line);
     std::string label_field;
     ls >> label_field;
+    std::size_t column = 2;  // whitespace-separated field of the next pair
     if (label_field.find(':') != std::string::npos) {
       // write_libsvm leaves the label field of a multilabel row with no
       // active labels empty, so its first token is already a feature pair.
@@ -203,17 +229,19 @@ Dataset read_libsvm(std::istream& is, std::size_t n_features, TaskKind task,
       label_field.clear();
       ls.clear();
       ls.seekg(0);
+      column = 1;
     }
     switch (task) {
       case TaskKind::kMulticlass:
-        class_ids.push_back(std::stoi(label_field));
+        class_ids.push_back(
+            parse_cell<std::int32_t>(label_field, "libsvm", line_no, 1));
         break;
       case TaskKind::kMultilabel: {
         std::vector<std::uint8_t> ind(static_cast<std::size_t>(n_outputs), 0);
         if (!label_field.empty()) {
           for (const auto& tok : split_line(label_field, ',')) {
             if (tok.empty()) continue;
-            const int k = std::stoi(tok);
+            const int k = parse_cell<int>(tok, "libsvm", line_no, 1);
             GBMO_CHECK(k >= 0 && k < n_outputs);
             ind[static_cast<std::size_t>(k)] = 1;
           }
@@ -224,25 +252,30 @@ Dataset read_libsvm(std::istream& is, std::size_t n_features, TaskKind task,
       case TaskKind::kMultiregression: {
         const auto toks = split_line(label_field, ',');
         GBMO_CHECK(toks.size() == static_cast<std::size_t>(n_outputs));
-        for (const auto& tok : toks) targets.push_back(std::stof(tok));
+        for (const auto& tok : toks) {
+          targets.push_back(parse_cell<float>(tok, "libsvm", line_no, 1));
+        }
         break;
       }
       case TaskKind::kRanking: {
         const auto toks = split_line(label_field, ',');
         GBMO_CHECK(toks.size() == 2) << "ranking label must be qid,rel";
-        query_ids.push_back(static_cast<std::uint32_t>(std::stoul(toks[0])));
-        targets.push_back(std::stof(toks[1]));
+        query_ids.push_back(
+            parse_cell<std::uint32_t>(toks[0], "libsvm", line_no, 1));
+        targets.push_back(parse_cell<float>(toks[1], "libsvm", line_no, 1));
         break;
       }
     }
     std::vector<std::pair<std::uint32_t, float>> row;
     std::string kv;
-    while (ls >> kv) {
+    for (; ls >> kv; ++column) {
       const auto colon = kv.find(':');
       GBMO_CHECK(colon != std::string::npos) << "bad libsvm pair: " << kv;
-      const auto f = static_cast<std::uint32_t>(std::stoul(kv.substr(0, colon)));
+      const auto f = parse_cell<std::uint32_t>(kv.substr(0, colon), "libsvm",
+                                               line_no, column);
       GBMO_CHECK(f < n_features) << "feature index out of range: " << f;
-      row.emplace_back(f, std::stof(kv.substr(colon + 1)));
+      row.emplace_back(f, parse_cell<float>(kv.substr(colon + 1), "libsvm",
+                                            line_no, column));
     }
     rows.push_back(std::move(row));
   }

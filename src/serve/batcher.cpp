@@ -13,16 +13,7 @@ void LatencyStats::record_latency(double ms) {
   max_latency_ms = std::max(max_latency_ms, ms);
   if (samples_offered++ % sample_stride == 0) {
     latency_samples.push_back(ms);
-    if (latency_samples.size() >= kReservoirCapacity) {
-      // Thin to every other retained sample; the stride doubles so the
-      // retained set stays an evenly spaced subsample of the full sequence.
-      std::size_t w = 0;
-      for (std::size_t r = 0; r < latency_samples.size(); r += 2) {
-        latency_samples[w++] = latency_samples[r];
-      }
-      latency_samples.resize(w);
-      sample_stride *= 2;
-    }
+    thin_reservoir();
   }
 }
 
@@ -38,6 +29,12 @@ void LatencyStats::merge_from(const LatencyStats& other) {
   sample_stride = std::max(sample_stride, other.sample_stride);
   latency_samples.insert(latency_samples.end(), other.latency_samples.begin(),
                          other.latency_samples.end());
+  thin_reservoir();
+}
+
+void LatencyStats::thin_reservoir() {
+  // Keep every other retained sample; the stride doubles so the retained
+  // set stays an evenly spaced subsample of the full sequence.
   while (latency_samples.size() >= kReservoirCapacity) {
     std::size_t w = 0;
     for (std::size_t r = 0; r < latency_samples.size(); r += 2) {
@@ -94,6 +91,7 @@ std::optional<std::future<std::vector<float>>> PredictBatcher::try_submit(
   p.row = std::move(row);
   p.enqueued = std::chrono::steady_clock::now();
   auto future = p.promise.get_future();
+  bool wake = false;
   {
     std::lock_guard<std::mutex> lock(mu_);
     GBMO_CHECK(!stop_) << "submit after shutdown";
@@ -102,8 +100,12 @@ std::optional<std::future<std::vector<float>>> PredictBatcher::try_submit(
       return std::nullopt;
     }
     queue_.push_back(std::move(p));
+    // Only the first row (the idle worker arms its deadline) and the row
+    // that fills a batch change what the worker does; any other row is seen
+    // when the worker wakes at the oldest row's deadline.
+    wake = queue_.size() == 1 || queue_.size() == config_.max_batch;
   }
-  cv_.notify_one();
+  if (wake) cv_.notify_one();
   return future;
 }
 

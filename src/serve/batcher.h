@@ -8,9 +8,13 @@
 // batch, so the device sees batched kernels instead of row-at-a-time
 // launches.
 //
-// Configuration is builder-style (mirroring core::TrainConfig's fluent
-// setters); the observability sink rides in BatcherConfig and is attached to
-// the engine's device for the batcher's lifetime:
+// A submit wakes the worker only when the queue goes from empty to one row
+// (the worker arms that row's deadline) or reaches max_batch, so a batch
+// costs the worker at most two wake-ups, not one per row.
+//
+// Configuration is builder-style; the observability sink rides in
+// BatcherConfig and is attached to the engine's device for the batcher's
+// lifetime:
 //
 //   PredictBatcher batcher(*engine, n_features,
 //                          BatcherConfig{}.batch(32).delay_ms(0.5)
@@ -105,6 +109,10 @@ struct LatencyStats {
     return batches == 0 ? 0.0
                         : static_cast<double>(requests) / static_cast<double>(batches);
   }
+
+ private:
+  // Halves the reservoir until it is below kReservoirCapacity.
+  void thin_reservoir();
 };
 
 class PredictBatcher {

@@ -114,29 +114,6 @@ FaultPlan FaultPlan::parse(const std::string& spec) {
   return plan;
 }
 
-std::string FaultPlan::to_string() const {
-  std::ostringstream os;
-  const char* sep = "";
-  const auto emit = [&](const auto&... parts) {
-    os << sep;
-    (os << ... << parts);
-    sep = ";";
-  };
-  if (transient_rate > 0.0) emit("transient=", transient_rate);
-  if (timeout_rate > 0.0) emit("timeout=", timeout_rate);
-  emit("seed=", seed);
-  if (!kernel_filter.empty()) emit("kernel=", kernel_filter);
-  if (device_filter >= 0) emit("device=", device_filter);
-  for (const auto& s : script) {
-    const char* key = s.kind == FaultKind::kDeviceLoss ? "kill="
-                      : s.kind == FaultKind::kNodeLoss ? "kill-node="
-                                                       : "fail=";
-    emit(key, s.device, "@", s.launch);
-  }
-  emit("retries=", max_retries);
-  return os.str();
-}
-
 std::shared_ptr<const FaultPlan> sim_fault_plan() {
   auto& g = globals();
   std::lock_guard<std::mutex> lock(g.mu);

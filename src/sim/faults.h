@@ -82,7 +82,6 @@ struct FaultPlan {
   // on a value that does not parse whole. Empty / "0" / "off" return a
   // disabled plan.
   static FaultPlan parse(const std::string& spec);
-  std::string to_string() const;  // canonical spec (parse round-trips)
 };
 
 // --- arming ------------------------------------------------------------------

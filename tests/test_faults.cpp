@@ -99,7 +99,7 @@ void expect_phases_equal_modulo_retry(const core::TrainReport& clean,
 // ---------------------------------------------------------------------------
 // FaultPlan spec grammar
 
-TEST(FaultPlan, ParseRoundTrip) {
+TEST(FaultPlan, ParseReadsEveryKey) {
   const auto plan = sim::FaultPlan::parse(
       "transient=0.25;timeout=0.5;seed=99;kernel=hist;device=1;"
       "fail=0@7;kill=1@42;retries=5;backoff=1e-5;timeout-cost=2e-4");
@@ -116,10 +116,9 @@ TEST(FaultPlan, ParseRoundTrip) {
   EXPECT_EQ(plan.script[1].launch, 42u);
   EXPECT_EQ(plan.script[1].kind, sim::FaultKind::kDeviceLoss);
   EXPECT_EQ(plan.max_retries, 5);
+  EXPECT_DOUBLE_EQ(plan.backoff_seconds, 1e-5);
+  EXPECT_DOUBLE_EQ(plan.timeout_seconds, 2e-4);
   EXPECT_TRUE(plan.enabled());
-
-  const auto again = sim::FaultPlan::parse(plan.to_string());
-  EXPECT_EQ(again.to_string(), plan.to_string());
 }
 
 TEST(FaultPlan, DisabledSpecs) {

@@ -159,6 +159,110 @@ TEST(IoTest, LibsvmMultilabelRowWithoutLabelsRoundTrips) {
   }
 }
 
+// The gbmo::Error message of reading `text`, or "" when it loads.
+std::string csv_error(const std::string& text, std::size_t n_features) {
+  std::istringstream is(text);
+  try {
+    data::read_csv(is, n_features);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+std::string libsvm_error(const std::string& text, std::size_t n_features,
+                         data::TaskKind task, int n_outputs) {
+  std::istringstream is(text);
+  try {
+    data::read_libsvm(is, n_features, task, n_outputs);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+bool has(const std::string& message, const std::string& part) {
+  return message.find(part) != std::string::npos;
+}
+
+// A cell parses whole: "0.590679xyz" used to load as 0.590679.
+TEST(IoTest, CellWithTrailingGarbageIsRejected) {
+  const auto csv =
+      csv_error("task,multiclass,3\n0.5,1,0\n0.590679xyz,2,1\n", 2);
+  EXPECT_TRUE(has(csv, "CSV line 3, column 1") && has(csv, "'0.590679xyz'"))
+      << csv;
+  const auto svm = libsvm_error("0 0:0.5\n1 0:0.590679xyz 1:2\n", 2,
+                                data::TaskKind::kMulticlass, 3);
+  EXPECT_TRUE(has(svm, "libsvm line 2, column 2") &&
+              has(svm, "'0.590679xyz'"))
+      << svm;
+}
+
+// Class ids are integers: "1.9" used to load as class 1.
+TEST(IoTest, FractionalClassIdIsRejected) {
+  const auto csv = csv_error("task,multiclass,3\n0.5,1.9\n", 1);
+  EXPECT_TRUE(has(csv, "CSV line 2, column 2") && has(csv, "'1.9'")) << csv;
+  const auto svm =
+      libsvm_error("0 0:1\n1.9 0:0.5\n", 1, data::TaskKind::kMulticlass, 3);
+  EXPECT_TRUE(has(svm, "libsvm line 2, column 1") && has(svm, "'1.9'"))
+      << svm;
+}
+
+// Non-numeric cells and header counts used to fail with a bare "stof" or
+// "stoi" that named neither the line nor the column.
+TEST(IoTest, NonNumericTokenNamesLineAndColumn) {
+  const auto cell = csv_error("task,multiclass,3\n0.5,abc,0\n", 2);
+  EXPECT_TRUE(has(cell, "CSV line 2, column 2") && has(cell, "'abc'")) << cell;
+  const auto count = csv_error("task,multiclass,x\n0.5,0\n", 1);
+  EXPECT_TRUE(has(count, "CSV line 1, column 3") && has(count, "'x'"))
+      << count;
+  const auto huge = csv_error("task,multiclass,99999999999\n0.5,0\n", 1);
+  EXPECT_TRUE(has(huge, "CSV line 1, column 3")) << huge;
+  EXPECT_TRUE(has(csv_error("task,multiclass,0\n", 1), "0 outputs"));
+  const auto index = libsvm_error("0 0:1 a:2\n", 2,
+                                  data::TaskKind::kMulticlass, 3);
+  EXPECT_TRUE(has(index, "libsvm line 1, column 3") && has(index, "'a'"))
+      << index;
+}
+
+// Files with CRLF line endings load exactly as their LF originals.
+TEST(IoTest, CrlfFilesLoadLikeLf) {
+  data::MulticlassSpec mc;
+  mc.n_instances = 20;
+  mc.n_features = 4;
+  mc.n_classes = 3;
+  mc.sparsity = 0.5;
+  const auto d = data::make_multiclass(mc);
+  const auto crlf = [](const std::string& text) {
+    std::string out;
+    for (const char c : text) {
+      if (c == '\n') out += '\r';
+      out += c;
+    }
+    return out + "\r\n";  // and a trailing blank line
+  };
+  const auto same = [](const data::Dataset& a, const data::Dataset& b) {
+    const auto xa = a.x.values();
+    const auto xb = b.x.values();
+    return xa.size() == xb.size() &&
+           std::memcmp(xa.data(), xb.data(), xa.size() * sizeof(float)) == 0 &&
+           std::equal(a.y.class_ids().begin(), a.y.class_ids().end(),
+                      b.y.class_ids().begin(), b.y.class_ids().end());
+  };
+
+  std::stringstream csv;
+  data::write_csv(csv, d);
+  std::istringstream csv_lf(csv.str()), csv_crlf(crlf(csv.str()));
+  EXPECT_TRUE(same(data::read_csv(csv_lf, 4), data::read_csv(csv_crlf, 4)));
+
+  std::stringstream svm;
+  data::write_libsvm(svm, d);
+  std::istringstream svm_lf(svm.str()), svm_crlf(crlf(svm.str()));
+  EXPECT_TRUE(same(
+      data::read_libsvm(svm_lf, 4, data::TaskKind::kMulticlass, 3),
+      data::read_libsvm(svm_crlf, 4, data::TaskKind::kMulticlass, 3)));
+}
+
 TEST(SyntheticTest, DeterministicBySeed) {
   data::MulticlassSpec spec;
   spec.n_instances = 50;

@@ -3,6 +3,7 @@
 // flushing, latency percentiles, admission control, profiler spans).
 #include <gtest/gtest.h>
 
+#include <chrono>
 #include <cstring>
 #include <future>
 #include <limits>
@@ -227,21 +228,94 @@ TEST(Serve, BatcherAdmissionControlRejectsPastQueueLimit) {
   EXPECT_EQ(stats.failed_requests, 0u);
 }
 
+// The flush contract: a batch leaves when it is full or when its oldest row
+// has waited max_delay_ms, never earlier, and the destructor answers rows
+// still waiting. A submit wakes the worker only for the first row of an empty
+// queue and for the row that fills a batch; the next two tests time out if
+// either wake-up is missing.
+constexpr auto kAnswerTimeout = std::chrono::seconds(10);
+
+TEST(Serve, BatcherHoldsPartialBatchUntilFull) {
+  const auto model = train_model();
+  const auto x = nan_batch(4, 10);
+  const auto direct = make_engine("compiled", model)->predict(x);
+  const auto d = static_cast<std::size_t>(model->n_outputs);
+  auto engine = make_engine("compiled", model);
+  PredictBatcher batcher(*engine, x.n_cols(),
+                         BatcherConfig{}.batch(4).delay_ms(60000.0));
+  const auto row = [&](std::size_t i) {
+    return std::vector<float>(x.row(i).begin(), x.row(i).end());
+  };
+
+  std::vector<std::future<std::vector<float>>> futures;
+  for (std::size_t i = 0; i < 3; ++i) {
+    futures.push_back(batcher.submit(row(i)));
+  }
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  EXPECT_EQ(batcher.pending(), 3u);
+  for (auto& f : futures) {
+    EXPECT_EQ(f.wait_for(std::chrono::seconds(0)), std::future_status::timeout);
+  }
+
+  futures.push_back(batcher.submit(row(3)));  // fills the batch
+  for (std::size_t i = 0; i < futures.size(); ++i) {
+    ASSERT_EQ(futures[i].wait_for(kAnswerTimeout), std::future_status::ready)
+        << "row " << i;
+    const auto scores = futures[i].get();
+    ASSERT_EQ(scores.size(), d);
+    EXPECT_EQ(std::memcmp(scores.data(), direct.data() + i * d,
+                          d * sizeof(float)),
+              0)
+        << "row " << i;
+  }
+  batcher.drain();  // run_batch books the batch after fulfilling promises
+  const auto stats = batcher.stats();
+  EXPECT_EQ(stats.requests, 4u);
+  EXPECT_EQ(stats.batches, 1u);
+}
+
+TEST(Serve, BatcherFlushesLoneRowAtItsDeadline) {
+  const auto model = train_model();
+  auto engine = make_engine("compiled", model);
+  PredictBatcher batcher(*engine, 10, BatcherConfig{}.batch(64).delay_ms(30.0));
+  // A first row flushes and the worker goes back to sleep on an empty queue,
+  // so only the next submit's wake-up can arm that row's deadline.
+  (void)batcher.submit(std::vector<float>(10, 0.1f)).get();
+  batcher.drain();
+  std::this_thread::sleep_for(std::chrono::milliseconds(20));
+
+  const auto submitted = std::chrono::steady_clock::now();
+  auto future = batcher.submit(std::vector<float>(10, 0.5f));
+  ASSERT_EQ(future.wait_for(kAnswerTimeout), std::future_status::ready);
+  const auto waited = std::chrono::steady_clock::now() - submitted;
+  EXPECT_GE(waited, std::chrono::milliseconds(30));
+  EXPECT_EQ(future.get().size(), static_cast<std::size_t>(model->n_outputs));
+  batcher.drain();
+  const auto stats = batcher.stats();
+  EXPECT_EQ(stats.requests, 2u);
+  EXPECT_EQ(stats.batches, 2u);
+}
+
 TEST(Serve, BatcherDestructorAnswersEverythingAccepted) {
   const auto model = train_model();
   const auto d = static_cast<std::size_t>(model->n_outputs);
   auto engine = make_engine("compiled", model);
   std::vector<std::future<std::vector<float>>> futures;
+  const auto start = std::chrono::steady_clock::now();
   {
     // Long delay: rows are still queued (not flushed) when the destructor
-    // runs. It must answer them all — zero dropped requests.
+    // runs. It must answer them all — zero dropped requests — at once
+    // instead of waiting out the delay.
     PredictBatcher batcher(*engine, 10,
-                           BatcherConfig{}.batch(256).delay_ms(500.0));
+                           BatcherConfig{}.batch(256).delay_ms(60000.0));
     for (int i = 0; i < 50; ++i) {
       futures.push_back(batcher.submit(std::vector<float>(10, 0.02f * i)));
     }
+    EXPECT_EQ(batcher.pending(), 50u);
   }
+  EXPECT_LT(std::chrono::steady_clock::now() - start, kAnswerTimeout);
   for (auto& f : futures) {
+    ASSERT_EQ(f.wait_for(std::chrono::seconds(0)), std::future_status::ready);
     const auto scores = f.get();  // throws if any promise was broken
     EXPECT_EQ(scores.size(), d);
   }
