@@ -204,6 +204,7 @@ void SketchBoostSystem::fit(const data::Dataset& train) {
   report_.final_train_loss = loss->value(scores, train.y);
   report_.phase_seconds = solo.device(0).phase_seconds();
   report_.peak_device_bytes = solo.device(0).peak_allocated_bytes();
+  report_.peak_host_hist_bytes = grower.host_hist_bytes();
 }
 
 std::vector<float> SketchBoostSystem::predict(const data::DenseMatrix& x) const {

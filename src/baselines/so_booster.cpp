@@ -178,6 +178,8 @@ void SoBooster::fit(const data::Dataset& train) {
   report_.phase_seconds = solo.device(0).phase_seconds();
   for (auto& [phase, sec] : report_.phase_seconds) sec /= class_parallel;
   report_.peak_device_bytes = solo.device(0).peak_allocated_bytes();
+  report_.peak_host_hist_bytes =
+      level_grower.host_hist_bytes() + leaf_grower.host_hist_bytes();
 }
 
 std::vector<float> SoBooster::predict(const data::DenseMatrix& x) const {

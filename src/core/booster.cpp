@@ -551,6 +551,7 @@ Model GbmoBooster::fit(const data::Dataset& train, const Loss* loss_override,
   report_.comm_inter_bytes = group.inter_traffic_bytes();
   report_.vote_rounds = grower.vote_rounds();
   report_.vote_misses = grower.vote_misses();
+  report_.peak_host_hist_bytes = grower.host_hist_bytes();
   report_.devices_lost = group.size() - group.n_alive();
   report_.final_train_loss = loss->value(scores, train.y);
   for (int i = 0; i < group.size(); ++i) {

@@ -65,6 +65,10 @@ struct TrainReport {
   std::vector<double> per_tree_seconds;
   double setup_seconds = 0.0;    // quantization + transfers before tree 0
   std::size_t peak_device_bytes = 0;
+  // Host bytes of the node-histogram buffers the tree grower allocated
+  // (TreeGrower::host_hist_bytes): the widest level's histograms, where
+  // the modeled device also keeps that level's parent level.
+  std::size_t peak_host_hist_bytes = 0;
   double final_train_loss = 0.0;
   int trees_trained = 0;
   // Validation trace (one entry per tree) when fit() received a validation

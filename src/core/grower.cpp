@@ -100,6 +100,7 @@ NodeHistogram TreeGrower::take_hist() {
   if (hist_pool_.empty()) {
     NodeHistogram fresh;
     fresh.resize(ctx_.layout);
+    host_hist_bytes_ += ctx_.layout.byte_size();
     return fresh;
   }
   NodeHistogram hist = std::move(hist_pool_.back());
@@ -567,9 +568,8 @@ void TreeGrower::flush_leaf_charges() {
   has_pending_leaf_charges_ = false;
 }
 
-void TreeGrower::subtract_node_histograms(const NodeHistogram& parent,
-                                          const NodeHistogram& smaller,
-                                          NodeHistogram& larger) {
+void TreeGrower::subtract_node_histograms(const NodeHistogram& smaller,
+                                          NodeHistogram& parent) {
   if (row_partitioned_) {
     // Replicated histograms: one live device derives the sibling (the old
     // break-after-device-0 skipped the subtraction entirely — leaving the
@@ -578,7 +578,7 @@ void TreeGrower::subtract_node_histograms(const NodeHistogram& parent,
     const int fa = group_.first_alive();
     GBMO_CHECK(fa >= 0) << "sibling subtraction with no live devices";
     subtract_histograms(group_.device(fa), ctx_.layout, grow_features_,
-                        parent, smaller, larger);
+                        smaller, parent);
     return;
   }
   for (int dev = 0; dev < group_.size(); ++dev) {
@@ -586,8 +586,8 @@ void TreeGrower::subtract_node_histograms(const NodeHistogram& parent,
                             ? grow_features_
                             : grow_device_features_[static_cast<std::size_t>(dev)];
     if (!feats.empty() && !group_.is_lost(dev)) {
-      subtract_histograms(group_.device(dev), ctx_.layout, feats, parent,
-                          smaller, larger);
+      subtract_histograms(group_.device(dev), ctx_.layout, feats, smaller,
+                          parent);
     }
   }
 }
@@ -834,20 +834,32 @@ void TreeGrower::grow_level_wise(std::span<const float> g,
       note_alloc_all(level_bytes);
       group_.set_phase("histogram");
 
-      // Phase 1: take the level's histograms from the pool (stale contents:
-      // the build or subtraction below writes every slot split search
-      // reads), then classify each node — derived (parent minus smaller
+      // Phase 1: classify each node — derived (parent minus smaller
       // sibling) or directly built. Derivation requires the parent's
       // histogram (previous level) *and* an active smaller sibling (a
-      // sibling finalized as a leaf has no histogram).
-      for (const auto& a : active) cur_hists[a.tree_node] = take_hist();
+      // sibling finalized as a leaf has no histogram). A derived node takes
+      // its parent's histogram, which phase 3 turns into its own in place.
+      // The parent histograms no node takes go back to the pool, and each
+      // direct node takes one from it (stale contents: the build writes
+      // every slot split search reads). So the host holds one histogram per
+      // active node, never two levels' worth.
+      for (const auto& a : active) cur_hists.try_emplace(a.tree_node);
       std::vector<std::size_t> direct_nodes, derived_nodes;
       for (std::size_t i = 0; i < active.size(); ++i) {
         const ActiveNode& a = active[i];
-        const bool can_subtract = !a.is_smaller && a.parent >= 0 &&
-                                  prev_hists.count(a.parent) > 0 &&
-                                  cur_hists.count(a.sibling) > 0;
-        (can_subtract ? derived_nodes : direct_nodes).push_back(i);
+        const auto parent = prev_hists.find(a.parent);
+        if (!a.is_smaller && parent != prev_hists.end() &&
+            cur_hists.count(a.sibling) > 0) {
+          cur_hists[a.tree_node] = std::move(parent->second);
+          prev_hists.erase(parent);
+          derived_nodes.push_back(i);
+        } else {
+          direct_nodes.push_back(i);
+        }
+      }
+      release(prev_hists);
+      for (const std::size_t i : direct_nodes) {
+        cur_hists[active[i].tree_node] = take_hist();
       }
 
       // Phase 2: direct builds. With the CSC view available (and a row
@@ -888,11 +900,11 @@ void TreeGrower::grow_level_wise(std::span<const float> g,
       // direct nodes, built above).
       for (const std::size_t i : derived_nodes) {
         ActiveNode& a = active[i];
-        subtract_node_histograms(prev_hists.at(a.parent),
-                                 cur_hists.at(a.sibling),
+        subtract_node_histograms(cur_hists.at(a.sibling),
                                  cur_hists.at(a.tree_node));
       }
     } else {
+      release(prev_hists);
       for (std::size_t i = 0; i < active.size(); ++i) {
         ActiveNode& a = active[i];
         node_rows_ = std::span<const std::uint32_t>(row_order).subspan(
@@ -950,8 +962,10 @@ void TreeGrower::grow_level_wise(std::span<const float> g,
       }
     }
 
+    // The device frees the previous level only now; the host's copies went
+    // back to the pool (or became this level's derived histograms) before
+    // the builds.
     note_free_all(prev_bytes);
-    release(prev_hists);
     prev_bytes = 0;
     if (subtract_mode) {
       prev_hists.swap(cur_hists);
@@ -1133,7 +1147,11 @@ void TreeGrower::grow_leaf_wise(std::span<const float> g,
       large_hp = acquire_hist();
       large_hist = large_hp ? large_hp.get() : &get_scratch(scratch_b);
       if (cand.hist && small_hist) {
-        subtract_node_histograms(*cand.hist, *small_hist, *large_hist);
+        // In place: the larger child takes the parent's buffer, and the
+        // parent leaves with the one just acquired, which drop_hist below
+        // returns to the pool.
+        std::swap(*large_hist, *cand.hist);
+        subtract_node_histograms(*small_hist, *large_hist);
       } else {
         build_into(lc.node, *large_hist);
       }

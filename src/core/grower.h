@@ -17,11 +17,14 @@
 // level / frontier would exceed it, the grower falls back to building nodes
 // one at a time in reusable scratch buffers (losing subtraction but
 // bounding peak memory) — this is the mechanism behind "avoids
-// out-of-memory failures" in Figure 7. On the host, released histograms go
-// to a free list that later levels and trees reuse without zero-filling:
-// every builder re-zeroes the slots it accumulates into, a subtraction
-// overwrites its feature view, and split search reads only the tree's
-// feature view, so stale slots outside it are never read.
+// out-of-memory failures" in Figure 7. Subtraction runs in place: the
+// larger child takes its parent's histogram and subtracts the smaller
+// child from it, so the host holds one histogram per active node. Released
+// histograms go to a free list that later levels and trees reuse without
+// zero-filling: every builder re-zeroes the slots it accumulates into, a
+// subtraction rewrites the feature view its parent's build wrote, and split
+// search reads only the tree's feature view, so stale slots outside it are
+// never read.
 //
 // Exclusive feature bundling (data/bundling.h): when the context carries a
 // bundling plan, node histograms are accumulated over the bundled columns
@@ -137,6 +140,11 @@ class TreeGrower {
   // when ctx.paged is null). See data/paged_dataset.h.
   data::BlockCacheStats paging_stats() const;
 
+  // Host bytes of the node-histogram buffers this grower has allocated: one
+  // per node of the widest level (or leaf-wise frontier, plus scratch) of
+  // any tree grown so far. The modeled device's peak is reported apart.
+  std::size_t host_hist_bytes() const { return host_hist_bytes_; }
+
  private:
   struct ActiveNode {
     std::int32_t tree_node = -1;
@@ -200,11 +208,11 @@ class TreeGrower {
                     std::vector<std::int32_t>& leaf_of_row);
   void flush_leaf_charges();
 
-  // Sibling subtraction over every device that owns features of the node
-  // (larger = parent − smaller), shared by both growth policies.
-  void subtract_node_histograms(const NodeHistogram& parent,
-                                const NodeHistogram& smaller,
-                                NodeHistogram& larger);
+  // Sibling subtraction over every device that owns features of the node,
+  // in place: `parent` becomes the larger child, parent − smaller. Shared
+  // by both growth policies.
+  void subtract_node_histograms(const NodeHistogram& smaller,
+                                NodeHistogram& parent);
   // Reduces a node's d gradient totals on every device that needs them
   // (replicated in feature-parallel mode, once in data-parallel mode).
   void reduce_node_totals(std::span<const float> g, std::span<const float> h,
@@ -291,9 +299,12 @@ class TreeGrower {
   std::vector<std::vector<std::uint32_t>> grow_device_bundles_;
   // Scratch for the bundled accumulation pass (EFB).
   NodeHistogram bundle_scratch_;
-  // Released node histograms, reused by take_hist(). Holds at most the two
-  // levels (or the frontier plus scratch) a tree has live at once.
+  // Released node histograms, reused by take_hist(). Holds at most the
+  // widest level (or the frontier plus scratch) a tree has live at once.
   std::vector<NodeHistogram> hist_pool_;
+  // Bytes of the histograms take_hist() allocated fresh. The pool never
+  // shrinks, so this is the host's high-water mark of node histograms.
+  std::size_t host_hist_bytes_ = 0;
   // Row span of the node currently being built (set before each
   // build_node_histogram call; avoids threading it through every helper).
   std::span<const std::uint32_t> node_rows_;

@@ -158,27 +158,25 @@ void expand_bundled_histogram(sim::Device& dev,
 
 void subtract_histograms(sim::Device& dev, const HistogramLayout& layout,
                          std::span<const std::uint32_t> features,
-                         const NodeHistogram& parent, const NodeHistogram& smaller,
-                         NodeHistogram& larger) {
-  GBMO_DCHECK(&larger != &parent && &larger != &smaller);
+                         const NodeHistogram& smaller, NodeHistogram& parent) {
+  GBMO_DCHECK(&parent != &smaller);
   const std::size_t d = static_cast<std::size_t>(layout.n_outputs());
   std::uint64_t slots = 0;
   for (std::uint32_t f : features) {
     // One flat pass over the feature's contiguous slots.
     const std::size_t lo = layout.bin_index(f, 0);
     const std::size_t n_bins = static_cast<std::size_t>(layout.n_bins(f));
-    const sim::GradPair* __restrict par = parent.sums.data() + lo * d;
     const sim::GradPair* __restrict small = smaller.sums.data() + lo * d;
-    sim::GradPair* __restrict large = larger.sums.data() + lo * d;
+    sim::GradPair* __restrict par = parent.sums.data() + lo * d;
     for (std::size_t i = 0; i < n_bins * d; ++i) {
-      large[i] = sim::GradPair{par[i].g - small[i].g, par[i].h - small[i].h};
+      par[i] = sim::GradPair{par[i].g - small[i].g, par[i].h - small[i].h};
     }
     for (std::size_t b = lo; b < lo + n_bins; ++b) {
-      larger.counts[b] = parent.counts[b] - smaller.counts[b];
+      parent.counts[b] -= smaller.counts[b];
     }
     slots += n_bins * d;
   }
-  // One elementwise kernel: read parent+smaller, write larger.
+  // One elementwise kernel: read parent+smaller, write the larger child.
   sim::KernelStats s;
   s.blocks = std::max<std::uint64_t>(1, slots / 256);
   s.gmem_coalesced_bytes = slots * sizeof(sim::GradPair) * 3;

@@ -125,12 +125,12 @@ std::unique_ptr<HistogramBuilder> make_builder(HistMethod method);
 // node_count − Σ(non-zero bin counts).
 void reconstruct_zero_bins(const HistBuildInput& in, NodeHistogram& out);
 
-// Sibling subtraction (DESIGN.md §4): larger = parent − smaller, restricted
-// to the given feature subset.
+// Sibling subtraction in place (DESIGN.md §4): turns `parent` into the
+// larger child, parent − smaller, over the given feature subset. Slots
+// outside it keep the parent's values.
 void subtract_histograms(sim::Device& dev, const HistogramLayout& layout,
                          std::span<const std::uint32_t> features,
-                         const NodeHistogram& parent, const NodeHistogram& smaller,
-                         NodeHistogram& larger);
+                         const NodeHistogram& smaller, NodeHistogram& parent);
 
 // EFB expansion: scatters each bundle member's non-default bundled bins back
 // into the member's original-layout slots of `out`, then reconstructs every

@@ -24,6 +24,15 @@ T read_number(std::istream& is) {
   return parse_number<T>(tok, "model value");
 }
 
+// Appends `n` numbers read from the stream. Counts come from the file, so
+// nothing is sized from them up front: a count past the end of the input
+// ends in a truncation or parse error, not in an allocation the input
+// cannot fill.
+template <typename T>
+void read_numbers(std::istream& is, std::size_t n, std::vector<T>& out) {
+  for (std::size_t i = 0; i < n; ++i) out.push_back(read_number<T>(is));
+}
+
 }  // namespace
 
 void write_model(std::ostream& os, const Model& model) {
@@ -95,24 +104,23 @@ Model read_model(std::istream& is) {
   // one-row matrix cannot express them, so BinCuts gains no loader — we
   // rebuild by re-binning the cut values themselves, which reproduces the
   // exact cut array (bin_for/threshold_for only read that array).
-  std::vector<std::vector<float>> feature_cuts(n_features);
+  std::vector<std::vector<float>> feature_cuts;
   for (std::size_t f = 0; f < n_features; ++f) {
     std::size_t k = 0;
     GBMO_CHECK(static_cast<bool>(is >> tag >> k) && tag == "cuts");
-    feature_cuts[f].resize(k);
-    for (auto& v : feature_cuts[f]) v = read_number<float>(is);
+    read_numbers(is, k, feature_cuts.emplace_back());
   }
   model.cuts = data::BinCuts::from_cut_arrays(feature_cuts, max_bins);
 
   std::size_t n_trees = 0;
   GBMO_CHECK(static_cast<bool>(is >> tag >> n_trees) && tag == "trees");
-  model.trees.reserve(n_trees);
   for (std::size_t t = 0; t < n_trees; ++t) {
     std::size_t n_nodes = 0, n_leaf_values = 0;
     GBMO_CHECK(static_cast<bool>(is >> tag >> n_nodes >> n_leaf_values) &&
                tag == "tree");
-    std::vector<TreeNode> nodes(n_nodes);
-    for (auto& n : nodes) {
+    std::vector<TreeNode> nodes;
+    for (std::size_t i = 0; i < n_nodes; ++i) {
+      TreeNode& n = nodes.emplace_back();
       GBMO_CHECK(static_cast<bool>(is >> tag >> n.feature >> n.split_bin) &&
                  tag == "node");
       GBMO_CHECK(n.is_leaf() || static_cast<std::size_t>(n.feature) < n_features)
@@ -137,9 +145,9 @@ Model read_model(std::istream& is) {
         n.default_left = flag != 0;
       }
     }
-    std::vector<float> leaf_values(n_leaf_values);
+    std::vector<float> leaf_values;
     GBMO_CHECK(static_cast<bool>(is >> tag) && tag == "leaves");
-    for (auto& v : leaf_values) v = read_number<float>(is);
+    read_numbers(is, n_leaf_values, leaf_values);
     Tree tree(model.n_outputs);
     tree.set_raw(std::move(nodes), std::move(leaf_values), model.n_outputs);
     model.trees.push_back(std::move(tree));
@@ -153,18 +161,19 @@ Model read_model(std::istream& is) {
     GBMO_CHECK(tag == "categoricals") << "unexpected trailing tag: " << tag;
     std::size_t n_tables = 0;
     GBMO_CHECK(static_cast<bool>(is >> n_tables));
-    model.categoricals.resize(n_tables);
-    for (auto& t : model.categoricals) {
+    for (std::size_t c = 0; c < n_tables; ++c) {
+      auto& t = model.categoricals.emplace_back();
       GBMO_CHECK(static_cast<bool>(is >> tag >> t.col) && tag == "cat");
+      GBMO_CHECK(t.col >= 0 && static_cast<std::size_t>(t.col) < n_features)
+          << "categorical column " << t.col << " out of range for "
+          << n_features << " features";
       t.prior = read_number<float>(is);
       std::size_t k = 0;
       GBMO_CHECK(static_cast<bool>(is >> k));
-      t.hashes.resize(k);
-      t.values.resize(k);
       for (std::size_t i = 0; i < k; ++i) {
-        GBMO_CHECK(static_cast<bool>(is >> t.hashes[i]))
+        GBMO_CHECK(static_cast<bool>(is >> t.hashes.emplace_back()))
             << "truncated categorical table";
-        t.values[i] = read_number<float>(is);
+        t.values.push_back(read_number<float>(is));
       }
     }
   } else {
@@ -217,18 +226,15 @@ Checkpoint read_checkpoint(std::istream& is) {
   }
   std::size_t n = 0;
   GBMO_CHECK(static_cast<bool>(is >> tag >> n) && tag == "scores");
-  ckpt.scores.resize(n);
-  for (auto& v : ckpt.scores) v = read_number<float>(is);
+  read_numbers(is, n, ckpt.scores);
   GBMO_CHECK(static_cast<bool>(is >> tag) && tag == "earlystop");
   ckpt.best_valid = read_number<double>(is);
   GBMO_CHECK(static_cast<bool>(is >> ckpt.rounds_since_best >>
                                ckpt.best_tree_count));
   GBMO_CHECK(static_cast<bool>(is >> tag >> n) && tag == "validscores");
-  ckpt.valid_scores.resize(n);
-  for (auto& v : ckpt.valid_scores) v = read_number<float>(is);
+  read_numbers(is, n, ckpt.valid_scores);
   GBMO_CHECK(static_cast<bool>(is >> tag >> n) && tag == "validmetrics");
-  ckpt.valid_metric_per_tree.resize(n);
-  for (auto& v : ckpt.valid_metric_per_tree) v = read_number<double>(is);
+  read_numbers(is, n, ckpt.valid_metric_per_tree);
   GBMO_CHECK(static_cast<bool>(is >> tag) && tag == "model");
   is >> std::ws;  // consume the newline before the model's magic line
   ckpt.model = read_model(is);

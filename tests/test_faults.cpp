@@ -11,6 +11,7 @@
 
 #include <cstring>
 #include <map>
+#include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
@@ -460,6 +461,29 @@ TEST(Checkpoint, CheckpointFileRoundTrips) {
   EXPECT_EQ(back->best_tree_count, ck.best_tree_count);
   EXPECT_FALSE(core::load_checkpoint(path + ".nope").has_value());
   std::remove(path.c_str());
+}
+
+// The score and validation counts size nothing before their elements are
+// read: a count of 2^40 runs into the end of the input and throws
+// gbmo::Error, not std::bad_alloc.
+TEST(Checkpoint, RejectsCountsPastTheEndOfTheInput) {
+  core::Checkpoint ck;
+  ck.rng_state = {1, 2, 3, 4};
+  ck.scores = {0.5f, -1.25f};
+  ck.valid_scores = {2.0f};
+  ck.valid_metric_per_tree = {0.125};
+  ck.model.task = data::TaskKind::kMultiregression;
+  ck.model.n_outputs = 2;
+  std::ostringstream os;
+  core::write_checkpoint(os, ck);
+  for (const std::string tag : {"scores", "validscores", "validmetrics"}) {
+    std::string text = os.str();
+    const std::size_t start = text.find("\n" + tag + " ") + tag.size() + 2;
+    text.replace(start, text.find_first_of(" \n", start) - start,
+                 "1099511627776");
+    std::istringstream is(text);
+    EXPECT_THROW(core::read_checkpoint(is), Error) << tag;
+  }
 }
 
 // Every registry system that claims checkpoint support must honour it with

@@ -3,13 +3,16 @@
 // GOSS selection, histogram-pool budget fallback, and config validation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstring>
 #include <set>
+#include <vector>
 
 #include "cli.h"
 #include "common/error.h"
 #include "core/booster.h"
+#include "core/histogram.h"
 #include "data/bundling.h"
 #include "data/quantize.h"
 #include "data/synthetic.h"
@@ -150,6 +153,47 @@ TEST(LevelWise, MaxLeavesTrimsTopGainSplits) {
 }
 
 // --- exclusive feature bundling ---------------------------------------------
+
+// Sibling subtraction runs in place: the larger child takes its parent's
+// histogram, so the host allocates one histogram per active node of the
+// widest level (of any tree: the free list carries buffers across trees).
+// The modeled device frees a level only after the next level's split
+// search, so its peak is the widest level plus its parent level.
+TEST(LevelWise, HostHoldsOneHistogramPerActiveNode) {
+  const auto d = dense_data();
+  const auto cfg = cfg_base();
+  GbmoBooster booster(cfg);
+  const auto model = booster.fit(d);
+
+  // A node is active (gets a histogram) when it sits above max_depth and
+  // has rows enough for two children. Children are numbered after their
+  // parents, so one pass in id order knows every node's depth.
+  std::size_t widest = 0;
+  const auto min_rows = 2 * static_cast<std::uint32_t>(cfg.min_instances_per_node);
+  for (const Tree& tree : model.trees) {
+    std::vector<int> depth(tree.n_nodes(), 0);
+    std::vector<std::size_t> active(static_cast<std::size_t>(cfg.max_depth), 0);
+    for (std::size_t id = 0; id < tree.n_nodes(); ++id) {
+      const TreeNode& n = tree.node(id);
+      if (!n.is_leaf()) {
+        depth[static_cast<std::size_t>(n.left)] = depth[id] + 1;
+        depth[static_cast<std::size_t>(n.right)] = depth[id] + 1;
+      }
+      if (depth[id] < cfg.max_depth && n.n_instances >= min_rows) {
+        ++active[static_cast<std::size_t>(depth[id])];
+      }
+    }
+    widest = std::max(widest, *std::max_element(active.begin(), active.end()));
+  }
+  ASSERT_GE(widest, 4u) << "trees too narrow for the premise of this test";
+
+  const TrainReport& report = booster.report();
+  const std::size_t hist_bytes =
+      HistogramLayout(model.cuts, model.n_outputs).byte_size();
+  EXPECT_EQ(report.peak_host_hist_bytes, widest * hist_bytes);
+  EXPECT_LT(report.peak_host_hist_bytes, report.peak_device_bytes);
+  EXPECT_EQ(report.peak_device_bytes, 364848u);  // in-place subtraction keeps it
+}
 
 TEST(Efb, PlanPartitionsFeaturesExclusively) {
   const auto ds = sparse_data();

@@ -351,10 +351,9 @@ TEST(SubtractHistogramsTest, ParentMinusChildIsSibling) {
   const auto left = build_for(left_rows);
   const auto expected_right = build_for(right_rows);
 
-  NodeHistogram derived;
-  derived.resize(fx.layout);
+  NodeHistogram derived = parent;
   sim::Device dev(sim::DeviceSpec::rtx4090());
-  subtract_histograms(dev, fx.layout, fx.features, parent, left, derived);
+  subtract_histograms(dev, fx.layout, fx.features, left, derived);
   expect_equal(fx.layout, derived, expected_right, "subtraction");
 }
 
@@ -527,12 +526,12 @@ TEST(HistogramBuilders, KernelChargesArePinned) {
       sim::Device dev(spec);
       test::KernelLog log;
       dev.set_sink(&log);
-      NodeHistogram hist, sibling;
+      NodeHistogram hist;
       hist.resize(fx.layout);
-      sibling.resize(fx.layout);
       make_builder(p.method)->build(
           dev, fx.input(p.packed, p.sparsity_aware, false), hist);
-      subtract_histograms(dev, fx.layout, fx.features, hist, hist, sibling);
+      NodeHistogram sibling = hist;
+      subtract_histograms(dev, fx.layout, fx.features, hist, sibling);
       const auto where = std::string(hist_method_name(p.method)) +
                          " packed=" + std::to_string(p.packed) +
                          " sparsity=" + std::to_string(p.sparsity_aware) +

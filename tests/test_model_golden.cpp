@@ -191,15 +191,20 @@ TEST(ModelGolden, RankingGoldenFileRoundTrip) {
   EXPECT_EQ(model.categoricals.size(), 1u);
 }
 
+// Rewrites field `field` (0 = the tag) of the first line of `text` that
+// starts with the tag `tag`.
+std::string with_field(std::string text, const std::string& tag, int field,
+                       const std::string& value) {
+  std::size_t start = text.find("\n" + tag + " ") + 1;
+  for (int i = 0; i < field; ++i) start = text.find(' ', start) + 1;
+  text.replace(start, text.find_first_of(" \n", start) - start, value);
+  return text;
+}
+
 // Rewrites one field of the golden's first node line (0 = the "node" tag,
 // 1 = feature, 4 = left, 5 = right).
 std::string with_first_node_field(int field, const std::string& value) {
-  std::string text = read_file(kGoldenModel);
-  const std::size_t line = text.find("\nnode ") + 1;
-  std::size_t start = line;
-  for (int i = 0; i < field; ++i) start = text.find(' ', start) + 1;
-  text.replace(start, text.find(' ', start) - start, value);
-  return text;
+  return with_field(read_file(kGoldenModel), "node", field, value);
 }
 
 void expect_load_error(const std::string& text) {
@@ -220,6 +225,39 @@ TEST(ModelGolden, RejectsOutOfRangeChild) {
 
 TEST(ModelGolden, RejectsSplitFeaturePastFeatureCount) {
   expect_load_error(with_first_node_field(1, "4000"));
+}
+
+// Counts come from the file, and the loader sizes nothing from them before
+// it reads the elements: a count no machine could allocate (2^40) runs into
+// the end of the input and throws gbmo::Error, not std::bad_alloc.
+TEST(ModelGolden, RejectsCountsPastTheEndOfTheInput) {
+  const std::string huge = "1099511627776";
+  const std::string model = read_file(kGoldenModel);
+  const std::string cat = read_file(kGoldenCatModel);
+  expect_load_error(with_field(model, "features", 1, huge));
+  expect_load_error(with_field(model, "cuts", 1, huge));
+  expect_load_error(with_field(model, "trees", 1, huge));
+  expect_load_error(with_field(model, "tree", 1, huge));  // nodes
+  expect_load_error(with_field(model, "tree", 2, huge));  // leaf values
+  expect_load_error(with_field(cat, "categoricals", 1, huge));
+  expect_load_error(with_field(cat, "cat", 3, huge));  // hashes and values
+}
+
+// A categorical table must name one of the model's features; otherwise the
+// model would load (and deploy) and then fail every prediction.
+TEST(ModelGolden, RejectsCategoricalColumnPastFeatureCount) {
+  const std::string cat = read_file(kGoldenCatModel);
+  std::istringstream is(with_field(cat, "cat", 1, "4000"));
+  try {
+    (void)core::read_model(is);
+    ADD_FAILURE() << "a table on column 4000 of 6 features loaded";
+  } catch (const Error& e) {
+    EXPECT_NE(std::string(e.what()).find("categorical column 4000"),
+              std::string::npos)
+        << e.what();
+  }
+  expect_load_error(with_field(cat, "cat", 1, "-1"));
+  expect_load_error(with_field(cat, "cat", 1, "6"));
 }
 
 }  // namespace

@@ -263,6 +263,9 @@ void print_report(const core::TrainReport& report, int n_devices,
   for (const auto& [phase, seconds] : report.phase_seconds) {
     out << "  " << phase << ": " << seconds << " s\n";
   }
+  out << "peak memory:          " << report.peak_device_bytes
+      << " bytes modeled device, " << report.peak_host_hist_bytes
+      << " bytes host histograms\n";
   if (report.page_hits + report.page_misses > 0) {
     out << "block cache:          " << report.page_hits << " hits, "
         << report.page_misses << " misses, " << report.page_evictions
