@@ -131,15 +131,17 @@ fi
 # passes index through raw and __restrict pointers), and the growth-policy
 # and histogram-budget suites (both growth policies move node histograms
 # between levels, owners and the free list; LevelWise includes the test
-# that pins the host's histogram bytes).
+# that pins the host's histogram bytes), and the suites that drive every
+# system's charge path through a profiler (sinks read each event's kernel
+# name through a pointer valid only during the callback).
 if [[ "${GBMO_CHECK_ASAN:-1}" != "0" ]]; then
   if sanitizer_links address; then
     asan_build="${GBMO_CHECK_ASAN_BUILD_DIR:-$repo/build-asan}"
     cmake -B "$asan_build" -S "$repo" -DGBMO_SANITIZE=address
     cmake --build "$asan_build" -j "$(nproc)" --target gbmo_tests
     GBMO_SIM_CHECK=1 ctest --test-dir "$asan_build" --output-on-failure \
-      -R 'SimChecker|QuantizeProperties|BinPackProperties|ModelGolden|FaultPlan|CliErrors|Faults|Checkpoint|Sketch|OutOfCore|CompiledModel|Serve|ModelServer|Registry\.|BuilderEquivalence|AdaptiveBuilder|HistogramLayoutTest|SubtractHistogramsTest|HistogramBuilders|AccessorsTest|Split|GrowerTest|LeafWise|LevelWise|HistBudget'
-    echo "check: ASan stage OK (checker + data property + model loader + fault-spec/CLI parsing + fault-injection + out-of-core + compiled engine + serving + accessor/histogram/split/grower + growth-policy/histogram-budget tests under -fsanitize=address)"
+      -R 'SimChecker|QuantizeProperties|BinPackProperties|ModelGolden|FaultPlan|CliErrors|Faults|Checkpoint|SketchBoostTest|BaselineShapes\.SketchBoostSketchSmallerThanOutputs|OutOfCore|CompiledModel|Serve|ModelServer|Registry\.|BuilderEquivalence|AdaptiveBuilder|HistogramLayoutTest|SubtractHistogramsTest|HistogramBuilders|AccessorsTest|Split|GrowerTest|LeafWise|LevelWise|HistBudget|AllSystemsTest|ProfilerRegistry|ProfilerTrace|SoBoosterTest|ObliviousTest'
+    echo "check: ASan stage OK (checker + data property + model loader + fault-spec/CLI parsing + fault-injection + out-of-core + compiled engine + serving + accessor/histogram/split/grower + growth-policy/histogram-budget + every system's profiled charge path tests under -fsanitize=address)"
   else
     echo "check: ASan stage skipped (toolchain cannot link -fsanitize=address)"
   fi

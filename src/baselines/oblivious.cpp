@@ -58,11 +58,11 @@ void ObliviousBooster::fit(const data::Dataset& train) {
       s.blocks = std::max<std::uint64_t>(1, n / 256);
       s.gmem_coalesced_bytes =
           static_cast<std::uint64_t>(n) * train.n_features() * (sizeof(float) + 1);
-      dev.add_stats(s);
-      dev.add_modeled_time(sim::CostModel(dev.spec()).kernel_seconds(s));
-      dev.add_modeled_time(static_cast<double>(binned.byte_size()) /
-                           static_cast<double>(group.size()) /
-                           dev.spec().pcie_bandwidth);
+      sim::charge_kernel(dev, "quantize_bin", s);
+      sim::charge_seconds(dev, "h2d_transfer",
+                          static_cast<double>(binned.byte_size()) /
+                              static_cast<double>(group.size()) /
+                              dev.spec().pcie_bandwidth);
     }
   }
 
@@ -131,7 +131,7 @@ void ObliviousBooster::fit(const data::Dataset& train) {
         // Partial histograms live on different devices: gather the level's
         // histograms onto the split-finding device.
         group.set_phase("comm");
-        group.charge_broadcast(level.size() * layout.byte_size(), 0);
+        group.charge_broadcast(level.size() * layout.byte_size());
       }
 
       // Summed gain over all level nodes for every (feature, bin): the
@@ -197,9 +197,7 @@ void ObliviousBooster::fit(const data::Dataset& train) {
         // per-bin gains.
         s.gmem_coalesced_bytes =
             level.size() * layout.size() * sizeof(sim::GradPair) * 3;
-        auto& dev = group.device(0);
-        dev.add_stats(s);
-        dev.add_modeled_time(sim::CostModel(dev.spec()).kernel_seconds(s));
+        sim::charge_kernel(group.device(0), "oblivious_split", s);
       }
 
       if (best_f < 0) break;  // no valid symmetric split: stop growing
@@ -246,9 +244,7 @@ void ObliviousBooster::fit(const data::Dataset& train) {
             static_cast<std::uint64_t>(nodeinfo.end - nodeinfo.begin) * 2 *
             sizeof(std::uint32_t);
         ps.blocks = std::max<std::uint64_t>(1, (nodeinfo.end - nodeinfo.begin) / 256);
-        auto& dev = group.device(0);
-        dev.add_stats(ps);
-        dev.add_modeled_time(sim::CostModel(dev.spec()).kernel_seconds(ps));
+        sim::charge_kernel(group.device(0), "partition_rows", ps);
       }
       level = std::move(next);
     }
@@ -275,9 +271,9 @@ void ObliviousBooster::fit(const data::Dataset& train) {
       s.gmem_coalesced_bytes = static_cast<std::uint64_t>(n) *
                                static_cast<std::uint64_t>(d) * 3 * sizeof(float);
       auto& dev = group.device(0);
-      dev.add_stats(s);
-      dev.add_modeled_time(sim::CostModel(dev.spec()).kernel_seconds(s));
-      dev.add_modeled_time(kCatPerRound + kCatPerRoundPerOutput * d);
+      sim::charge_kernel(dev, "leaf_update_scores", s);
+      sim::charge_seconds(dev, "catboost_round",
+                          kCatPerRound + kCatPerRoundPerOutput * d);
     }
 
     trees_.push_back(std::move(tree));

@@ -49,11 +49,11 @@ void SketchBoostSystem::fit(const data::Dataset& train) {
       s.blocks = std::max<std::uint64_t>(1, n / 256);
       s.gmem_coalesced_bytes =
           static_cast<std::uint64_t>(n) * train.n_features() * (sizeof(float) + 1);
-      dev.add_stats(s);
-      dev.add_modeled_time(sim::CostModel(dev.spec()).kernel_seconds(s));
-      dev.add_modeled_time(static_cast<double>(binned.byte_size()) /
-                           static_cast<double>(group.size()) /
-                           dev.spec().pcie_bandwidth);
+      sim::charge_kernel(dev, "quantize_bin", s);
+      sim::charge_seconds(dev, "h2d_transfer",
+                          static_cast<double>(binned.byte_size()) /
+                              static_cast<double>(group.size()) /
+                              dev.spec().pcie_bandwidth);
     }
   }
 
@@ -115,9 +115,7 @@ void SketchBoostSystem::fit(const data::Dataset& train) {
                                static_cast<std::uint64_t>(d) * 2 * sizeof(float);
       s.gmem_random_accesses = n * static_cast<std::uint64_t>(k_dims);
       s.flops = n * static_cast<std::uint64_t>(d);
-      auto& dev = solo.device(0);
-      dev.add_stats(s);
-      dev.add_modeled_time(sim::CostModel(dev.spec()).kernel_seconds(s));
+      sim::charge_kernel(solo.device(0), "sketch_topk", s);
     }
 
     // --- grow on the sketch ------------------------------------------------
@@ -150,9 +148,7 @@ void SketchBoostSystem::fit(const data::Dataset& train) {
                                static_cast<std::uint64_t>(d) * 2 * sizeof(float);
       s.atomic_global_ops = n;
       s.flops = n * static_cast<std::uint64_t>(d) * 2;
-      auto& dev = solo.device(0);
-      dev.add_stats(s);
-      dev.add_modeled_time(sim::CostModel(dev.spec()).kernel_seconds(s));
+      sim::charge_kernel(solo.device(0), "leaf_refit", s);
     }
 
     // Rebuild the tree with d-dimensional leaves.
@@ -180,7 +176,7 @@ void SketchBoostSystem::fit(const data::Dataset& train) {
     solo.set_phase("update");
     core::update_scores_from_leaves(solo.device(0), full_tree, grown.leaf_of_row,
                                     scores);
-    solo.device(0).add_modeled_time(kPyBoostPerRound);
+    sim::charge_seconds(solo.device(0), "pyboost_round", kPyBoostPerRound);
 
     trees_.push_back(std::move(full_tree));
     const double total = solo.device(0).modeled_seconds();

@@ -56,11 +56,11 @@ void SoBooster::fit(const data::Dataset& train) {
       s.gmem_coalesced_bytes =
           static_cast<std::uint64_t>(n) * train.n_features() * (sizeof(float) + 1);
       s.flops = static_cast<std::uint64_t>(n) * train.n_features() * 8;
-      dev.add_stats(s);
-      dev.add_modeled_time(sim::CostModel(dev.spec()).kernel_seconds(s));
-      dev.add_modeled_time(static_cast<double>(bin_bytes) /
-                           static_cast<double>(group.size()) /
-                           dev.spec().pcie_bandwidth);
+      sim::charge_kernel(dev, "quantize_bin", s);
+      sim::charge_seconds(dev, "h2d_transfer",
+                          static_cast<double>(bin_bytes) /
+                              static_cast<double>(group.size()) /
+                              dev.spec().pcie_bandwidth);
     }
   }
 
@@ -115,9 +115,7 @@ void SoBooster::fit(const data::Dataset& train) {
         s.blocks = std::max<std::uint64_t>(1, n / 256);
         s.gmem_random_accesses = 2 * n;
         s.gmem_coalesced_bytes = static_cast<std::uint64_t>(n) * 2 * sizeof(float);
-        auto& dev = solo.device(0);
-        dev.add_stats(s);
-        dev.add_modeled_time(sim::CostModel(dev.spec()).kernel_seconds(s));
+        sim::charge_kernel(solo.device(0), "gather_output_grads", s);
       }
 
       core::GrownTree grown = variant_ == SoVariant::kXgbLike
@@ -133,10 +131,11 @@ void SoBooster::fit(const data::Dataset& train) {
             static_cast<double>(grown.tree.n_leaves() > 0
                                     ? grown.tree.n_leaves() - 1
                                     : 0);
-        dev.add_modeled_time(
+        sim::charge_seconds(
+            dev, "host_split_sync",
             (2.0 * n_splits + 1.0) * static_cast<double>(ctx.layout.byte_size()) /
-                dev.spec().pcie_bandwidth +
-            (n_splits + 1.0) * kLgbSyncPerSplit);
+                    dev.spec().pcie_bandwidth +
+                (n_splits + 1.0) * kLgbSyncPerSplit);
       }
 
       // Update output k of the scores from the training-time leaf map.
@@ -152,9 +151,7 @@ void SoBooster::fit(const data::Dataset& train) {
         s.blocks = std::max<std::uint64_t>(1, n / 256);
         s.gmem_coalesced_bytes = static_cast<std::uint64_t>(n) * 3 * sizeof(float);
         s.gmem_random_accesses = n;
-        auto& dev = solo.device(0);
-        dev.add_stats(s);
-        dev.add_modeled_time(sim::CostModel(dev.spec()).kernel_seconds(s));
+        sim::charge_kernel(solo.device(0), "update_output_scores", s);
       }
 
       trees_[static_cast<std::size_t>(k)].push_back(std::move(grown.tree));

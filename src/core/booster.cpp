@@ -199,13 +199,11 @@ Model GbmoBooster::fit(const data::Dataset& train, const Loss* loss_override,
       s.flops = static_cast<std::uint64_t>(n) * train.n_features() * 8;  // search
       sim::charge_kernel(dev, "quantize_bin", s);
       if (!out_of_core) {
-        {
-          sim::KernelTag tag(dev, "h2d_transfer");
-          dev.add_modeled_time(static_cast<double>(bin_bytes) /
-                                   static_cast<double>(group.size()) /
-                                   dev.spec().pcie_bandwidth +
-                               1e-4);
-        }
+        sim::charge_seconds(dev, "h2d_transfer",
+                            static_cast<double>(bin_bytes) /
+                                    static_cast<double>(group.size()) /
+                                    dev.spec().pcie_bandwidth +
+                                1e-4);
         dev.note_alloc(bin_bytes / static_cast<std::size_t>(group.size()) +
                        n * static_cast<std::size_t>(d) * 4 * sizeof(float));
       } else {
@@ -222,10 +220,10 @@ Model GbmoBooster::fit(const data::Dataset& train, const Loss* loss_override,
     for (int i = 0; i < group.size(); ++i) {
       auto& dev = group.device(i);
       dev.note_alloc(csc->byte_size() / static_cast<std::size_t>(group.size()));
-      sim::KernelTag tag(dev, "h2d_transfer");
-      dev.add_modeled_time(static_cast<double>(csc->byte_size()) /
-                           static_cast<double>(group.size()) /
-                           dev.spec().pcie_bandwidth);
+      sim::charge_seconds(dev, "h2d_transfer",
+                          static_cast<double>(csc->byte_size()) /
+                              static_cast<double>(group.size()) /
+                              dev.spec().pcie_bandwidth);
     }
   }
 
@@ -265,12 +263,10 @@ Model GbmoBooster::fit(const data::Dataset& train, const Loss* loss_override,
         s.gmem_coalesced_bytes =
             static_cast<std::uint64_t>(n) * train.n_features() + bundled_bytes;
         sim::charge_kernel(dev, "efb_bundle", s);
-        {
-          sim::KernelTag tag(dev, "h2d_transfer");
-          dev.add_modeled_time(static_cast<double>(bundled_bytes) /
-                               static_cast<double>(group.size()) /
-                               dev.spec().pcie_bandwidth);
-        }
+        sim::charge_seconds(dev, "h2d_transfer",
+                            static_cast<double>(bundled_bytes) /
+                                static_cast<double>(group.size()) /
+                                dev.spec().pcie_bandwidth);
         dev.note_alloc(static_cast<std::size_t>(bundled_bytes) /
                        static_cast<std::size_t>(group.size()));
       }

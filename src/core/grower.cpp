@@ -403,8 +403,8 @@ void TreeGrower::charge_histogram_exchange(const ActiveNode& node,
   if (ctx_.config.multi_gpu == MultiGpuMode::kDataParallel) {
     // Two ring all-reduces over the full histogram: the float sums, then
     // the u32 counts.
-    group_.charge_all_reduce("ring_all_reduce", sum_bytes);
-    group_.charge_all_reduce("ring_all_reduce", count_bytes);
+    group_.charge_all_reduce("ring_all_reduce", sum_bytes, sum_bytes);
+    group_.charge_all_reduce("ring_all_reduce", count_bytes, count_bytes);
     return;
   }
 
@@ -441,9 +441,8 @@ void TreeGrower::charge_histogram_exchange(const ActiveNode& node,
     elected_bytes += nb * (static_cast<std::size_t>(d) * sizeof(sim::GradPair) +
                            sizeof(std::uint32_t));
   }
-  group_.charge_hierarchical_all_reduce("hist_vote_all_reduce",
-                                        sum_bytes + count_bytes,
-                                        elected_bytes);
+  group_.charge_all_reduce("hist_vote_all_reduce", sum_bytes + count_bytes,
+                           elected_bytes);
 
   // Honesty metric: did the election contain the canonical winner? (The
   // functional model always splits on the canonical winner — this simulator
@@ -529,7 +528,7 @@ std::vector<SplitResult> TreeGrower::select_splits(
     }
     if (best_dev >= 0) results[ni] = local[static_cast<std::size_t>(best_dev)][ni];
   }
-  group_.charge_broadcast(2 * inputs.size() * sizeof(sim::BestSplitMsg), 0);
+  group_.charge_broadcast(2 * inputs.size() * sizeof(sim::BestSplitMsg));
   return results;
 }
 
@@ -649,7 +648,7 @@ void TreeGrower::charge_partition(std::uint64_t rows) {
   sim::charge_kernel(charge_device(), "partition_rows", st);
   if (group_.size() > 1 && !row_partitioned_) {
     // The split owners broadcast the partitioned nodes' left/right bitmaps.
-    group_.charge_broadcast(rows / 8 + 1, 0);
+    group_.charge_broadcast(rows / 8 + 1);
   }
 }
 

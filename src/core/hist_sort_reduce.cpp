@@ -71,12 +71,13 @@ class SortReduceBuilder final : public HistogramBuilder {
 
     const std::uint64_t n_pairs = keys.size();
     {
-      sim::KernelTag tag(dev, "hist_sort_keys");
+      // The pair writes are booked as counters with no modeled seconds;
+      // charging their time would move sort-reduce's modeled seconds.
       sim::KernelStats s;
       s.blocks = std::max<std::uint64_t>(1, n_pairs / 256);
       s.gmem_coalesced_bytes =
           n_pairs * (sizeof(std::uint64_t) + sizeof(std::uint32_t));
-      dev.add_stats(s);
+      sim::charge_seconds(dev, "hist_sort_keys", 0.0, s);
     }
 
     // Phase 2: sort_by_key groups equal (feature, bin) keys.
@@ -152,8 +153,8 @@ class SortReduceBuilder final : public HistogramBuilder {
     // One kernel launch per output dimension's reduce pass (the single
     // launch() above accounted for one of them).
     if (d > 1) {
-      sim::KernelTag tag(dev, "hist_sort_reduce");
-      dev.add_modeled_time((d - 1) * dev.spec().kernel_launch_s);
+      sim::charge_seconds(dev, "hist_sort_reduce",
+                          (d - 1) * dev.spec().kernel_launch_s);
     }
 
     reconstruct_zero_bins(in, out);

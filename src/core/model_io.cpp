@@ -92,6 +92,8 @@ Model read_model(std::istream& is) {
 
   GBMO_CHECK(static_cast<bool>(is >> tag >> task_str >> model.n_outputs) &&
              tag == "task");
+  GBMO_CHECK(model.n_outputs >= 1)
+      << "model output count " << model.n_outputs << " is below 1";
   model.task = data::parse_task(task_str);
 
   std::size_t n_features = 0;

@@ -154,18 +154,15 @@ void BlockCache::stage_one(Key key, std::size_t bytes) {
 
 void BlockCache::charge_transfer(std::size_t bytes) {
   // Transfers are charged under their own phase so the profiler separates
-  // paging overhead from kernel time; the kernel label lets targeted fault
+  // paging overhead from kernel time; the kernel name lets targeted fault
   // plans (kernel=block_h2d) hit only staging. The fault gate is the one
   // sim::launch passes: it retries transient faults (charging their
   // backoff) and throws on device or node loss before the transfer is
   // charged.
-  const std::string prev_phase = dev_.phase();
-  dev_.set_phase("page");
-  sim::KernelTag tag(dev_, "block_h2d");
+  sim::PhaseTag page(dev_, "page");
   try {
-    sim::fault_gate(dev_, 1);
+    sim::fault_gate(dev_, "block_h2d", 1);
   } catch (...) {
-    dev_.set_phase(prev_phase);
     // The tile never became resident: undo the residency charge so failover
     // paths see a consistent ledger.
     dev_.ledger_release(kLedgerAccount, bytes);
@@ -173,9 +170,9 @@ void BlockCache::charge_transfer(std::size_t bytes) {
   }
   sim::KernelStats s;
   s.gmem_coalesced_bytes = bytes;
-  dev_.charge_kernel(
-      s, static_cast<double>(bytes) / dev_.spec().pcie_bandwidth + 2e-5);
-  dev_.set_phase(prev_phase);
+  sim::charge_seconds(
+      dev_, "block_h2d",
+      static_cast<double>(bytes) / dev_.spec().pcie_bandwidth + 2e-5, s);
 }
 
 }  // namespace gbmo::data

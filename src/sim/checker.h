@@ -72,7 +72,7 @@ const char* violation_kind_name(ViolationKind k);
 
 struct Violation {
   ViolationKind kind = ViolationKind::kSharedRace;
-  std::string kernel;     // kernel label active at the launch
+  std::string kernel;     // the launch's kernel name
   std::string site;       // the named accessor region (or barrier phase)
   int block = -1;
   int lane = -1;          // -1: block-sequential context (no lane identity)

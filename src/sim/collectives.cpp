@@ -33,10 +33,6 @@ double DeviceGroup::max_modeled_seconds() const {
   return m;
 }
 
-void DeviceGroup::reset_time() {
-  for (auto& d : devices_) d->reset_time();
-}
-
 void DeviceGroup::set_sink(StatsSink* sink) {
   sink_ = sink;
   for (auto& d : devices_) d->set_sink(sink);
@@ -51,14 +47,6 @@ int DeviceGroup::n_alive() const {
 int DeviceGroup::first_alive() const {
   for (std::size_t i = 0; i < devices_.size(); ++i) {
     if (!devices_[i]->is_lost()) return static_cast<int>(i);
-  }
-  return -1;
-}
-
-int DeviceGroup::node_leader(int node) const {
-  const int lo = node * topo_.gpus_per_node;
-  for (int i = lo; i < lo + topo_.gpus_per_node; ++i) {
-    if (!devices_[static_cast<std::size_t>(i)]->is_lost()) return i;
   }
   return -1;
 }
@@ -100,11 +88,8 @@ void DeviceGroup::charge_all(const char* name, double seconds) {
   // devices no longer participate and are not charged.
   for (auto& d : devices_) {
     if (d->is_lost()) continue;
-    KernelTag tag(*d, name);
-    const std::string phase = d->phase();
-    d->set_phase("comm");
-    d->add_modeled_time(seconds);
-    d->set_phase(phase);
+    PhaseTag comm(*d, "comm");
+    charge_seconds(*d, name, seconds);
   }
 }
 
@@ -117,36 +102,33 @@ void DeviceGroup::maybe_inject_timeout() {
   // fixed penalty charged to every live participant under the "retry" phase
   // before the exchange proceeds. The exchanged values are untouched, so a
   // timed-out run's results stay bit-identical to the fault-free run.
+  KernelStats s;
+  s.faults_injected = 1;
   for (auto& d : devices_) {
     if (d->is_lost()) continue;
-    KernelTag tag(*d, "collective_timeout");
-    const std::string phase = d->phase();
-    d->set_phase("retry");
-    KernelStats s;
-    s.faults_injected = 1;
-    d->charge_kernel(s, plan->timeout_seconds);
-    d->set_phase(phase);
+    PhaseTag retry(*d, "retry");
+    charge_seconds(*d, "collective_timeout", plan->timeout_seconds, s);
   }
 }
 
-void DeviceGroup::charge_all_reduce_cost(const char* name,
-                                         std::size_t intra_payload,
-                                         std::size_t inter_payload) {
+void DeviceGroup::charge_all_reduce(const char* name, std::size_t intra_bytes,
+                                    std::size_t inter_bytes) {
+  require_alive(name);
+  maybe_inject_timeout();
   if (topo_.nodes <= 1) {
     const int k = n_alive();
     if (k <= 1) return;
     // Flat ring all-reduce: each device moves 2*(k-1)/k of the payload over
     // 2*(k-1) latency hops. Identical to the pre-topology cost model.
-    const double bytes = static_cast<double>(intra_payload);
+    const double bytes = static_cast<double>(intra_bytes);
     const double t =
         2.0 * (k - 1) * (bytes / k / link_.bandwidth + link_.latency);
     charge_all(name, t);
-    intra_traffic_ +=
-        2ull * static_cast<std::uint64_t>(k - 1) * intra_payload;
+    intra_traffic_ += 2ull * static_cast<std::uint64_t>(k - 1) * intra_bytes;
     return;
   }
-  // Hierarchical: reduce-scatter inside each node, ring across the live node
-  // leaders, broadcast back down. Collectives are lockstep, so the node with
+  // Hierarchical: reduce-scatter inside each node, ring across the live
+  // nodes, broadcast back down. Collectives are lockstep, so the node with
   // the most live GPUs gates the intra stages and every live device is
   // charged the same wall time.
   int g_max = 0;
@@ -156,43 +138,27 @@ void DeviceGroup::charge_all_reduce_cost(const char* name,
     if (g > 0) ++live_nodes;
     g_max = std::max(g_max, g);
     if (g > 1) {
-      intra_traffic_ +=
-          2ull * static_cast<std::uint64_t>(g - 1) * intra_payload;
+      intra_traffic_ += 2ull * static_cast<std::uint64_t>(g - 1) * intra_bytes;
     }
   }
   if (g_max > 1) {
-    const double bytes = static_cast<double>(intra_payload);
+    const double bytes = static_cast<double>(intra_bytes);
     const double t =
         (g_max - 1) * (bytes / g_max / link_.bandwidth + link_.latency);
     charge_all("reduce_scatter_intra", t);
     charge_all("broadcast_intra", t);
   }
   if (live_nodes > 1) {
-    const double bytes = static_cast<double>(inter_payload);
+    const double bytes = static_cast<double>(inter_bytes);
     const double t = 2.0 * (live_nodes - 1) *
                      (bytes / live_nodes / inter_.bandwidth + inter_.latency);
     charge_all("ring_inter_node", t);
     inter_traffic_ +=
-        2ull * static_cast<std::uint64_t>(live_nodes - 1) * inter_payload;
+        2ull * static_cast<std::uint64_t>(live_nodes - 1) * inter_bytes;
   }
 }
 
-void DeviceGroup::charge_all_reduce(const char* name, std::size_t bytes) {
-  require_alive(name);
-  maybe_inject_timeout();
-  charge_all_reduce_cost(name, bytes, bytes);
-}
-
-void DeviceGroup::charge_hierarchical_all_reduce(const char* name,
-                                                 std::size_t intra_bytes,
-                                                 std::size_t inter_bytes) {
-  require_alive(name);
-  maybe_inject_timeout();
-  charge_all_reduce_cost(name, intra_bytes, inter_bytes);
-}
-
-void DeviceGroup::charge_broadcast(std::size_t bytes, int root) {
-  GBMO_CHECK(root >= 0 && root < size());
+void DeviceGroup::charge_broadcast(std::size_t bytes) {
   require_alive("broadcast");
   maybe_inject_timeout();
   const double b = static_cast<double>(bytes);

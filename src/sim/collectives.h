@@ -4,8 +4,8 @@
 // builds partial histograms locally, and exchanges only summary statistics
 // (§3.4.2). DeviceGroup models the devices plus the interconnect. Training
 // computes every exchanged result on the host; the charge_* calls charge the
-// exchange's ring or tree time to every live participant under the device's
-// current phase label.
+// exchange's ring or tree time to every live participant under the "comm"
+// phase.
 //
 // Topology (DESIGN.md §13): a group is node_count × gpus_per_node. Devices
 // inside one node talk over the intra-node link (NVLink/PCIe); traffic
@@ -34,10 +34,6 @@ struct LinkSpec {
   double bandwidth = 25e9;   // bytes/s per direction (PCIe 4.0 x16 effective)
   double latency = 8e-6;     // per message hop
   static LinkSpec pcie4() { return {25e9, 8e-6}; }
-  static LinkSpec nvlink() { return {200e9, 3e-6}; }
-  // 25 Gb/s datacenter Ethernet with RTT-scale latency: the default
-  // inter-node link when a topology does not override it.
-  static LinkSpec ethernet25() { return {25e9 / 8.0, 25e-6}; }
 };
 
 // node_count × gpus_per_node arrangement of a device group. Device i lives
@@ -102,11 +98,6 @@ class DeviceGroup {
 
   // --- topology helpers ----------------------------------------------------
   int node_of(int i) const { return i / topo_.gpus_per_node; }
-  // Deterministic leader election: the lowest live device id in the node
-  // (-1 when the whole node is dead). Recomputed from scratch on every
-  // collective, so a leader lost mid-round is re-elected identically on
-  // every rank and at every --sim-threads value.
-  int node_leader(int node) const;
   int n_alive_in_node(int node) const;
   int n_alive_nodes() const;  // nodes with at least one live device
   // Whole-node failure: marks every device on the node lost.
@@ -114,7 +105,6 @@ class DeviceGroup {
 
   void set_phase(const std::string& phase);
   double max_modeled_seconds() const;
-  void reset_time();
 
   // --- observability -------------------------------------------------------
   // Attach a sink to every device in the group and remember it so pipeline
@@ -133,30 +123,24 @@ class DeviceGroup {
   std::uint64_t intra_traffic_bytes() const { return intra_traffic_; }
   std::uint64_t inter_traffic_bytes() const { return inter_traffic_; }
 
-  // Broadcast `bytes`-sized payload from root to all (tree algorithm cost);
-  // purely a timing charge — callers share host memory functionally.
-  void charge_broadcast(std::size_t bytes, int root);
+  // Broadcast of a `bytes`-sized payload to every live device (tree
+  // algorithm cost); purely a timing charge — callers share host memory
+  // functionally.
+  void charge_broadcast(std::size_t bytes);
 
   // Pure cost charge for an all-reduce whose functional result the caller
-  // computed canonically on the host: `bytes` of payload cross both link
-  // classes (hierarchically when nodes > 1).
-  void charge_all_reduce(const char* name, std::size_t bytes);
-  // Same, but with distinct payload sizes per link class — voting-parallel
-  // moves the full histogram intra-node while only the globally-elected
-  // columns (plus the vote messages themselves) cross the inter-node ring.
-  void charge_hierarchical_all_reduce(const char* name,
-                                      std::size_t intra_bytes,
-                                      std::size_t inter_bytes);
+  // computed canonically on the host. Flat (nodes == 1): one ring charge of
+  // `intra_bytes` under `name`. Hierarchical: reduce_scatter_intra +
+  // broadcast_intra of `intra_bytes` on the intra link (the slowest node
+  // gates, lockstep) and ring_inter_node of `inter_bytes` across the live
+  // nodes on the inter link. The two sizes differ for voting-parallel, which
+  // reduces the full histogram inside each node while only the elected
+  // columns (plus the ballots) cross the inter-node ring.
+  void charge_all_reduce(const char* name, std::size_t intra_bytes,
+                         std::size_t inter_bytes);
 
  private:
   void charge_all(const char* name, double seconds);
-  // Shared cost core for the all-reduce-shaped exchanges. Flat (nodes == 1):
-  // one ring charge under `name`, identical to the pre-topology model.
-  // Hierarchical: reduce_scatter_intra + broadcast_intra on the intra link
-  // (the slowest node gates, lockstep) and ring_inter_node across live node
-  // leaders on the inter link.
-  void charge_all_reduce_cost(const char* name, std::size_t intra_payload,
-                              std::size_t inter_payload);
   // First live device id; throws AllDevicesLost(what) when there is none.
   int require_alive(const char* what) const;
   // Deterministic collective-timeout injection: draws on the group's own

@@ -43,13 +43,11 @@ class CostModel {
   const DeviceSpec& spec_;
 };
 
-// Charges one named kernel to `dev`: counters plus the cost model's modeled
-// seconds, delivered to any attached sink as a single tagged event. This is
-// the named form of the ubiquitous `add_stats` + `add_modeled_time` pair.
+// Charges one named kernel to `dev`: its counters plus the cost model's
+// modeled seconds, delivered to any attached sink as a single event.
 inline double charge_kernel(Device& dev, const char* name, const KernelStats& s) {
-  KernelTag tag(dev, name);
   const double seconds = CostModel(dev.spec()).kernel_seconds(s);
-  dev.charge_kernel(s, seconds);
+  dev.charge_kernel(name, s, seconds);
   return seconds;
 }
 

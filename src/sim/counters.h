@@ -51,7 +51,7 @@ struct KernelStats {
 
   // Fault-injection accounting (sim/faults.h): injected fault events
   // (transient failures and collective timeouts) and retry attempts charged
-  // against this kernel label. Ride the same charge -> sink path as
+  // against this kernel. Ride the same charge -> sink path as
   // check_violations; the cost model ignores them (the backoff/timeout
   // penalty is charged as modeled seconds under the "retry" phase).
   std::uint64_t faults_injected = 0;

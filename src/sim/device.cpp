@@ -66,33 +66,14 @@ void Device::set_phase(std::string phase) {
   phase_ = std::move(phase);
 }
 
-void Device::set_kernel(std::string name) {
-  std::lock_guard<std::mutex> lock(mu_);
-  kernel_ = std::move(name);
-}
-
-void Device::add_modeled_time(double seconds) {
-  std::lock_guard<std::mutex> lock(mu_);
-  modeled_seconds_ += seconds;
-  phase_seconds_[phase_] += seconds;
-  if (sink_) emit(KernelStats{}, seconds);
-}
-
-void Device::add_stats(const KernelStats& s) {
-  std::lock_guard<std::mutex> lock(mu_);
-  total_stats_ += s;
-  if (sink_) emit(s, 0.0);
-}
-
-void Device::charge_kernel(const KernelStats& s, double seconds) {
+void Device::charge_kernel(const char* name, const KernelStats& s,
+                          double seconds) {
   std::lock_guard<std::mutex> lock(mu_);
   total_stats_ += s;
   modeled_seconds_ += seconds;
   phase_seconds_[phase_] += seconds;
-  if (sink_) emit(s, seconds);
-}
-
-void Device::emit(const KernelStats& s, double seconds) {
+  if (sink_ == nullptr) return;
+  kernel_ = name;
   KernelEvent e;
   e.name = &kernel_;
   e.phase = &phase_;
@@ -103,14 +84,6 @@ void Device::emit(const KernelStats& s, double seconds) {
   e.seconds = seconds;
   e.t_end = modeled_seconds_;
   sink_->on_event(e);
-}
-
-void Device::reset_time() {
-  std::lock_guard<std::mutex> lock(mu_);
-  modeled_seconds_ = 0.0;
-  phase_seconds_.clear();
-  total_stats_ = KernelStats{};
-  peak_allocated_ = allocated_;
 }
 
 void Device::note_alloc(std::size_t bytes) {

@@ -48,12 +48,12 @@ struct DeviceSpec {
   static DeviceSpec cpu_server();
 };
 
-// Charging (add_stats / add_modeled_time / charge_kernel, including the
-// sink forwarding) and the label setters are serialized by an internal
-// mutex, so kernels running on parallel scheduler workers may charge the
-// device concurrently. The aggregate accessors are unsynchronized reads:
-// call them from the launching thread between launches (the join at the end
-// of every sim::launch makes all charges visible there).
+// Charging (charge_kernel, including the sink forwarding) and the phase
+// setter are serialized by an internal mutex, so kernels running on parallel
+// scheduler workers may charge the device concurrently. The aggregate
+// accessors are unsynchronized reads: call them from the launching thread
+// between launches (the join at the end of every sim::launch makes all
+// charges visible there).
 class Device {
  public:
   explicit Device(DeviceSpec spec, int id = 0) : spec_(std::move(spec)), id_(id) {}
@@ -62,33 +62,31 @@ class Device {
   int id() const { return id_; }
 
   // --- modeled-time accounting -------------------------------------------
-  // All kernels/primitives executed "on" this device add modeled seconds
-  // under the currently active phase label.
+  // Every charge adds its modeled seconds under the currently active phase
+  // label (see PhaseTag for a scoped switch).
   void set_phase(std::string phase);
   const std::string& phase() const { return phase_; }
-  void add_modeled_time(double seconds);
   double modeled_seconds() const { return modeled_seconds_; }
   const std::map<std::string, double>& phase_seconds() const { return phase_seconds_; }
-  void reset_time();
 
   // --- cumulative event counters -----------------------------------------
-  void add_stats(const KernelStats& s);
   const KernelStats& total_stats() const { return total_stats_; }
   // Race/memory-checker findings charged to this device (sim/checker.h);
   // 0 unless the checker was armed and a kernel violated.
   std::uint64_t check_violations() const { return total_stats_.check_violations; }
-  // Counters + modeled time in one call: the charge reaches an attached sink
-  // as a single event (one kernel launch / primitive / transfer).
-  void charge_kernel(const KernelStats& s, double seconds);
+
+  // The one way into the modeled clock and the counters: books `s` and
+  // `seconds` under the current phase and hands an attached sink one event
+  // named `name`. Callers go through sim::launch, sim::charge_kernel
+  // (cost-modeled) or sim::charge_seconds (fixed costs).
+  void charge_kernel(const char* name, const KernelStats& s, double seconds);
 
   // --- observability -------------------------------------------------------
   // Optional per-kernel event sink (non-owning; see sim/sink.h). Every
-  // charge is forwarded tagged with the current kernel label, phase and
-  // (tree, level) context.
+  // charge is forwarded with its kernel name, the phase and the (tree,
+  // level) context.
   void set_sink(StatsSink* sink) { sink_ = sink; }
   StatsSink* sink() const { return sink_; }
-  void set_kernel(std::string name);
-  const std::string& kernel() const { return kernel_; }
   void set_trace_tree(int tree) { tree_ = tree; }
   void set_trace_level(int level) { level_ = level; }
 
@@ -137,7 +135,6 @@ class Device {
     std::size_t peak = 0;
     std::size_t budget = 0;  // 0 = unlimited (device capacity still applies)
   };
-  void emit(const KernelStats& s, double seconds);  // caller holds mu_
 
   mutable std::mutex mu_;
   DeviceSpec spec_;
@@ -150,24 +147,30 @@ class Device {
   std::size_t peak_allocated_ = 0;
   std::map<std::string, LedgerAccount> ledger_;
   StatsSink* sink_ = nullptr;
-  std::string kernel_ = "unattributed";
+  std::string kernel_;  // the emitted event's name, valid during the callback
   int tree_ = -1;
   int level_ = -1;
   std::atomic<std::uint64_t> launch_ordinal_{0};
   std::atomic<bool> lost_{false};
 };
 
-// RAII kernel label: names every charge made against `dev` while in scope,
-// restoring the previous label on exit (so nested primitives that tag
-// themselves win over the caller's coarser label).
-class KernelTag {
+// Charges a fixed cost (a PCIe transfer, a launch term, a per-round
+// constant) with optional counters; a zero `seconds` books counters only.
+inline void charge_seconds(Device& dev, const char* name, double seconds,
+                           const KernelStats& s = {}) {
+  dev.charge_kernel(name, s, seconds);
+}
+
+// RAII phase label: charges made against `dev` while in scope land in
+// `phase`; the previous phase comes back on exit, also when a charge throws.
+class PhaseTag {
  public:
-  KernelTag(Device& dev, const char* name) : dev_(dev), prev_(dev.kernel()) {
-    dev_.set_kernel(name);
+  PhaseTag(Device& dev, std::string phase) : dev_(dev), prev_(dev.phase()) {
+    dev_.set_phase(std::move(phase));
   }
-  KernelTag(const KernelTag&) = delete;
-  KernelTag& operator=(const KernelTag&) = delete;
-  ~KernelTag() { dev_.set_kernel(std::move(prev_)); }
+  PhaseTag(const PhaseTag&) = delete;
+  PhaseTag& operator=(const PhaseTag&) = delete;
+  ~PhaseTag() { dev_.set_phase(std::move(prev_)); }
 
  private:
   Device& dev_;

@@ -5,6 +5,7 @@
 #include <cstdlib>
 #include <mutex>
 #include <sstream>
+#include <string_view>
 
 #include "common/parse.h"
 
@@ -164,8 +165,8 @@ struct FaultDecision {
   std::uint64_t ordinal = 0;  // the launch-attempt ordinal that was drawn
 };
 
-FaultDecision next_launch_fault(Device& dev, const FaultPlan& plan,
-                                int grid_dim) {
+FaultDecision next_launch_fault(Device& dev, const char* name,
+                                const FaultPlan& plan, int grid_dim) {
   FaultDecision d;
   // The ordinal advances on every launch attempt (filtered or not, faulted
   // or not), so the decision stream for a device depends only on how many
@@ -185,7 +186,8 @@ FaultDecision next_launch_fault(Device& dev, const FaultPlan& plan,
   if (plan.transient_rate <= 0.0 || grid_dim <= 0) return d;
   if (plan.device_filter >= 0 && plan.device_filter != dev.id()) return d;
   if (!plan.kernel_filter.empty() &&
-      dev.kernel().find(plan.kernel_filter) == std::string::npos) {
+      std::string_view(name).find(plan.kernel_filter) ==
+          std::string_view::npos) {
     return d;
   }
   const std::uint64_t h =
@@ -200,29 +202,28 @@ FaultDecision next_launch_fault(Device& dev, const FaultPlan& plan,
 }
 
 // Charges one retry's modeled backoff (bounded exponential) plus the
-// fault/retry counters to `dev` under the "retry" phase; the active kernel
-// label attributes it to the faulted kernel.
-void charge_retry(Device& dev, const FaultPlan& plan, int attempt) {
+// fault/retry counters to `dev` under the faulted kernel's name and the
+// "retry" phase.
+void charge_retry(Device& dev, const char* name, const FaultPlan& plan,
+                  int attempt) {
   // Bounded exponential backoff: base * 2^attempt, capped at 2^10 periods.
   const double backoff =
       plan.backoff_seconds *
       static_cast<double>(1ull << std::min(attempt, 10));
-  const std::string phase = dev.phase();
-  dev.set_phase("retry");
+  PhaseTag retry(dev, "retry");
   KernelStats s;
   s.faults_injected = 1;
   s.fault_retries = 1;
-  dev.charge_kernel(s, backoff);
-  dev.set_phase(phase);
+  charge_seconds(dev, name, backoff, s);
 }
 
 }  // namespace
 
-void fault_gate(Device& dev, int grid_dim) {
+void fault_gate(Device& dev, const char* name, int grid_dim) {
   if (!sim_faults_enabled()) return;
   const auto plan = sim_fault_plan();
   for (int attempt = 0;; ++attempt) {
-    const FaultDecision fire = next_launch_fault(dev, *plan, grid_dim);
+    const FaultDecision fire = next_launch_fault(dev, name, *plan, grid_dim);
     switch (fire.kind) {
       case FaultKind::kNone:
         return;
@@ -233,12 +234,12 @@ void fault_gate(Device& dev, int grid_dim) {
       case FaultKind::kTransient:
         if (attempt >= plan->max_retries) {
           std::ostringstream os;
-          os << "sim-fault: transient failure in kernel '" << dev.kernel()
+          os << "sim-fault: transient failure in kernel '" << name
              << "' on device " << dev.id() << " (launch #" << fire.ordinal
              << ", block " << fire.block << ")";
           throw SimFaultError(os.str());
         }
-        charge_retry(dev, *plan, attempt);
+        charge_retry(dev, name, *plan, attempt);
         break;
     }
   }

@@ -30,7 +30,7 @@
 //   transient=P       per-launch transient-failure probability in [0,1]
 //   timeout=P         per-collective timeout probability in [0,1]
 //   seed=N            decision seed (default 0x5eed)
-//   kernel=SUBSTR     only fault kernels whose label contains SUBSTR
+//   kernel=SUBSTR     only fault kernels whose name contains SUBSTR
 //   device=D          only fault launches on device id D
 //   fail=D@K          scripted transient failure at device D's K-th launch
 //   kill=D@K          scripted permanent loss of device D at its K-th launch
@@ -67,7 +67,7 @@ struct FaultPlan {
   double transient_rate = 0.0;  // per-launch SimFaultError probability
   double timeout_rate = 0.0;    // per-collective timeout probability
   std::uint64_t seed = 0x5eed;
-  std::string kernel_filter;    // substring of the kernel label; empty = all
+  std::string kernel_filter;    // substring of the kernel name; empty = all
   int device_filter = -1;       // probabilistic faults on this device only
   std::vector<ScriptedFault> script;
   int max_retries = 3;              // redraws after a launch's first failure
@@ -119,16 +119,17 @@ class SimDeviceLost : public Error {
 // --- the fault gate ----------------------------------------------------------
 // Called by sim::launch at entry and by the out-of-core block cache for each
 // tile transfer; a no-op unless a plan is armed. Draws the decision for the
-// launch starting now on `dev` (one launch ordinal per draw) and:
+// launch of kernel `name` starting now on `dev` (one launch ordinal per
+// draw) and:
 //  - transient: charges one bounded-exponential backoff plus the
-//    fault/retry counters to `dev` under the "retry" phase (tagged with the
-//    active kernel label) and draws again; once the plan's retry budget is
-//    spent it throws SimFaultError instead;
+//    fault/retry counters to `dev` under kernel `name` and the "retry"
+//    phase, and draws again; once the plan's retry budget is spent it throws
+//    SimFaultError instead;
 //  - kill= / kill-node=: marks the device lost and throws SimDeviceLost
 //    (node-wide for kill-node=).
 // Never inspects scheduler state, so the decision sequence is identical for
 // every --sim-threads value.
-void fault_gate(Device& dev, int grid_dim);
+void fault_gate(Device& dev, const char* name, int grid_dim);
 
 // Deterministic per-collective timeout draw (DeviceGroup bumps and passes its
 // own collective ordinal).

@@ -2,7 +2,8 @@
 //
 // Kernels are written against the same decomposition as CUDA kernels:
 //
-//   sim::launch(dev, /*grid=*/n_blocks, /*block=*/256, [&](sim::BlockCtx& blk) {
+//   sim::launch(dev, "name", /*grid=*/n_blocks, /*block=*/256,
+//               [&](sim::BlockCtx& blk) {
 //     blk.threads([&](int tid) { ... });     // phase 1 (all threads)
 //     blk.sync();                            // __syncthreads()
 //   });
@@ -30,7 +31,8 @@
 // count.
 //
 // Every launch produces a KernelStats record that the cost model converts to
-// modeled seconds, accumulated on the device under its current phase label.
+// modeled seconds, charged to the device under the launch's kernel name and
+// the device's current phase label.
 // Fanned-out workers each get a private KernelStats, merged in fixed worker
 // order after the launch; all counters are integers, so the merged totals
 // equal the sequential path's exactly.
@@ -45,7 +47,6 @@
 #include <cstdint>
 #include <exception>
 #include <memory>
-#include <utility>
 #include <vector>
 
 #include "common/thread_pool.h"
@@ -151,26 +152,25 @@ struct LaunchResult {
   double modeled_seconds = 0.0;
 };
 
-// Launches `grid_dim` independent blocks of `block_dim` simulated threads.
+// Launches `grid_dim` independent blocks of `block_dim` simulated threads as
+// the kernel `name` (the label profiles, fault plans and the checker see).
 // Returns the merged stats and modeled kernel time (already charged to dev).
 // Kernel exceptions propagate to the caller: the exception of the lowest
 // failing block id is rethrown, at any worker count.
 template <typename Kernel>
-LaunchResult launch(Device& dev, int grid_dim, int block_dim, Kernel&& kernel) {
+LaunchResult launch(Device& dev, const char* name, int grid_dim, int block_dim,
+                    Kernel&& kernel) {
   // A launch that passes the gate runs exactly as a fault-free one.
-  fault_gate(dev, grid_dim);
+  fault_gate(dev, name, grid_dim);
 
   KernelStats merged;
   merged.blocks = static_cast<std::uint64_t>(grid_dim);
   merged.threads = static_cast<std::uint64_t>(grid_dim) * block_dim;
 
   // Race/memory checker (sim/checker.h): one LaunchCheck per launch, one
-  // BlockCheck per block. The kernel label is whatever KernelTag is active
-  // (the named launch() overload applies it before delegating here).
+  // BlockCheck per block.
   std::unique_ptr<LaunchCheck> lc;
-  if (sim_check_enabled()) {
-    lc = std::make_unique<LaunchCheck>(dev.kernel(), grid_dim);
-  }
+  if (sim_check_enabled()) lc = std::make_unique<LaunchCheck>(name, grid_dim);
 
   // Runs block b into `stats`; returns whether it committed.
   const auto run_block = [&](int b, KernelStats& stats, bool may_commit) {
@@ -227,7 +227,7 @@ LaunchResult launch(Device& dev, int grid_dim, int block_dim, Kernel&& kernel) {
   LaunchResult res;
   res.stats = merged;
   res.modeled_seconds = CostModel(dev.spec()).kernel_seconds(merged);
-  dev.charge_kernel(merged, res.modeled_seconds);
+  dev.charge_kernel(name, merged, res.modeled_seconds);
   if (violations > 0 && sim_check_mode() == CheckMode::kFail) {
     // Stats (and the profiler) already carry the findings; hard-fail mode
     // additionally surfaces the first offender at the launch site.
@@ -236,15 +236,6 @@ LaunchResult launch(Device& dev, int grid_dim, int block_dim, Kernel&& kernel) {
                         violations);
   }
   return res;
-}
-
-// Named launch: tags the charge with `name` for the observability layer so
-// per-kernel profiles attribute it instead of lumping it as "unattributed".
-template <typename Kernel>
-LaunchResult launch(Device& dev, const char* name, int grid_dim, int block_dim,
-                    Kernel&& kernel) {
-  KernelTag tag(dev, name);
-  return launch(dev, grid_dim, block_dim, std::forward<Kernel>(kernel));
 }
 
 // Convenience geometry helper: one thread per element.

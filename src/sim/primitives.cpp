@@ -69,9 +69,9 @@ void sort_pairs(Device& dev, std::vector<std::uint64_t>& keys,
   const std::uint64_t pair_bytes =
       static_cast<std::uint64_t>(n) * (sizeof(std::uint64_t) + sizeof(std::uint32_t));
   charge_pass_bytes(dev, "radix_sort", static_cast<std::uint64_t>(passes) * pair_bytes * 5 / 2, n);
-  KernelTag tag(dev, "radix_sort");
-  dev.add_modeled_time(static_cast<double>(n) * passes / dev.spec().sort_throughput +
-                       3.0 * passes * dev.spec().kernel_launch_s);
+  charge_seconds(dev, "radix_sort",
+                 static_cast<double>(n) * passes / dev.spec().sort_throughput +
+                     3.0 * passes * dev.spec().kernel_launch_s);
 }
 
 void segmented_inclusive_scan(Device& dev, std::span<const GradPair> values,

@@ -1,8 +1,8 @@
 // Observability hook for the simulated substrate.
 //
 // Every counter / modeled-time charge on a Device can be routed into an
-// optional StatsSink, tagged with the kernel name, pipeline phase and
-// (tree, level) context active at charge time. The sink is how the obs
+// optional StatsSink, tagged with the kernel name it was charged under and
+// the pipeline phase and (tree, level) context active at charge time. The sink is how the obs
 // layer builds its per-kernel registry and Chrome trace without the sim
 // layer knowing anything about report formats: sim emits events, obs
 // aggregates them (see src/obs/profiler.h).
@@ -16,10 +16,10 @@
 
 namespace gbmo::sim {
 
-// One charge against a device. `name`/`phase` point at the device's current
-// label strings (valid only for the duration of the callback — copy if kept).
+// One charge against a device. `name`/`phase` point at strings the device
+// owns (valid only for the duration of the callback — copy if kept).
 struct KernelEvent {
-  const std::string* name = nullptr;   // kernel label ("unattributed" if untagged)
+  const std::string* name = nullptr;   // kernel name the charge was made under
   const std::string* phase = nullptr;  // training phase at charge time
   int device = 0;                      // device id within its group
   int tree = -1;                       // boosting round (-1 outside the tree loop)
@@ -33,8 +33,8 @@ class StatsSink {
  public:
   virtual ~StatsSink() = default;
 
-  // Called for every add_stats / add_modeled_time / charge_kernel on a device
-  // with this sink attached.
+  // Called for every Device::charge_kernel on a device with this sink
+  // attached.
   virtual void on_event(const KernelEvent& e) = 0;
 
   // Hierarchical pipeline spans (setup -> tree -> level -> phase), emitted by

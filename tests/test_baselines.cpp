@@ -2,8 +2,15 @@
 // quality; relative quality and timing shapes follow the paper's story.
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <ios>
+#include <map>
+#include <string>
+#include <vector>
+
 #include "baselines/system.h"
 #include "data/synthetic.h"
+#include "obs/profiler.h"
 
 namespace gbmo {
 namespace {
@@ -27,23 +34,62 @@ core::TrainConfig quick_config() {
   return cfg;
 }
 
+// Every registered system, by the paper's label (its first alias) where it
+// has one, else by its canonical name.
+std::vector<std::string> system_labels() {
+  std::vector<std::string> labels;
+  for (const auto& info : registered_systems()) {
+    labels.push_back(info.aliases.empty() ? info.name : info.aliases.front());
+  }
+  return labels;
+}
+
+// Each system's modeled seconds on easy_multiclass() with quick_config(),
+// pinned bitwise: naming or regrouping charges must not move the modeled
+// clock.
+const std::map<std::string, double>& pinned_modeled_seconds() {
+  static const std::map<std::string, double> pins = {
+      {"ours", 0x1.c05fba739cf8ap-9},
+      {"ours-data", 0x1.72c57391d9ff5p-7},
+      {"ours-voting", 0x1.e8a98adb24364p-8},
+      {"xgboost", 0x1.c7d4e5c864014p-7},
+      {"lightgbm", 0x1.56699f5bedce7p-4},
+      {"catboost", 0x1.44b32abbbdc91p-5},
+      {"sk-boost", 0x1.756cc0f4949adp-2},
+      {"mo-fu", 0x1.8eb1544a6772bp-6},
+      {"mo-sp", 0x1.d08bb60ab9ae7p-5},
+  };
+  return pins;
+}
+
 class AllSystemsTest : public ::testing::TestWithParam<std::string> {};
 
 TEST_P(AllSystemsTest, TrainsToReasonableAccuracy) {
   const auto d = easy_multiclass();
   auto system = baselines::make_system(GetParam(), quick_config());
+  obs::Profiler prof(/*capture_trace=*/false);
+  system->set_sink(&prof);
   system->fit(d);
   const auto result = system->evaluate(d);
   EXPECT_EQ(result.metric, "accuracy%");
   EXPECT_GT(result.value, 75.0) << GetParam() << " underfits separable blobs";
   EXPECT_GT(system->report().modeled_seconds, 0.0);
   EXPECT_EQ(system->report().per_tree_seconds.size(), 8u);
+
+  ASSERT_TRUE(pinned_modeled_seconds().count(GetParam())) << "no pin";
+  EXPECT_EQ(system->report().modeled_seconds,
+            pinned_modeled_seconds().at(GetParam()))
+      << std::hexfloat << system->report().modeled_seconds;
+
+  // Every charge names its kernel, so the profile attributes all of the
+  // system's time, setup included.
+  EXPECT_FALSE(prof.kernels().count("unattributed"));
+  EXPECT_TRUE(prof.kernels().count("quantize_bin"));
+  EXPECT_TRUE(prof.kernels().count("h2d_transfer"));
 }
 
 INSTANTIATE_TEST_SUITE_P(Registry, AllSystemsTest,
-                         ::testing::Values("ours", "xgboost", "lightgbm",
-                                           "catboost", "sk-boost", "mo-fu",
-                                           "mo-sp"),
+                         ::testing::ValuesIn(system_labels()),
                          [](const auto& info) {
                            std::string n = info.param;
                            std::replace(n.begin(), n.end(), '-', '_');

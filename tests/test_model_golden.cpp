@@ -260,5 +260,22 @@ TEST(ModelGolden, RejectsCategoricalColumnPastFeatureCount) {
   expect_load_error(with_field(cat, "cat", 1, "6"));
 }
 
+// A model needs at least one output; the loader rejects a smaller count at
+// the task line, naming it.
+TEST(ModelGolden, RejectsNonPositiveOutputCount) {
+  const std::string model = read_file(kGoldenModel);
+  for (const std::string count : {"0", "-2"}) {
+    std::istringstream is(with_field(model, "task", 2, count));
+    try {
+      (void)core::read_model(is);
+      ADD_FAILURE() << "a model with " << count << " outputs loaded";
+    } catch (const Error& e) {
+      EXPECT_NE(std::string(e.what()).find("output count " + count),
+                std::string::npos)
+          << e.what();
+    }
+  }
+}
+
 }  // namespace
 }  // namespace gbmo

@@ -196,19 +196,16 @@ TEST(ProfilerRegistry, NamedLaunchAndLegacyTwoCallChargesAreCaptured) {
   ASSERT_TRUE(prof.kernels().count("tiny_sum"));
   EXPECT_EQ(prof.kernels().at("tiny_sum").events, 1u);
 
-  // A legacy two-call site: counters and time charged separately under one
-  // tag must merge into one row whose stats and seconds match the device
-  // deltas exactly.
+  // A two-call site: counters (with zero seconds) and time charged
+  // separately under one name must merge into one row whose stats and
+  // seconds match the device deltas exactly.
   const auto seconds_before = dev.modeled_seconds();
-  {
-    sim::KernelTag tag(dev, "legacy_site");
-    sim::KernelStats s;
-    s.gmem_coalesced_bytes = 4096;
-    dev.add_stats(s);
-    dev.add_modeled_time(1e-5);
-  }
-  ASSERT_TRUE(prof.kernels().count("legacy_site"));
-  const auto& row = prof.kernels().at("legacy_site");
+  sim::KernelStats s;
+  s.gmem_coalesced_bytes = 4096;
+  sim::charge_seconds(dev, "two_call_site", 0.0, s);
+  sim::charge_seconds(dev, "two_call_site", 1e-5);
+  ASSERT_TRUE(prof.kernels().count("two_call_site"));
+  const auto& row = prof.kernels().at("two_call_site");
   EXPECT_EQ(row.stats.gmem_coalesced_bytes, 4096u);
   EXPECT_DOUBLE_EQ(row.seconds, dev.modeled_seconds() - seconds_before);
   EXPECT_DOUBLE_EQ(prof.total_seconds(), dev.modeled_seconds());

@@ -2,6 +2,8 @@
 // geometry and multi-device collectives.
 #include <gtest/gtest.h>
 
+#include <stdexcept>
+
 #include "sim/collectives.h"
 #include "sim/cost_model.h"
 #include "sim/launch.h"
@@ -71,7 +73,7 @@ TEST(CostModelTest, ConflictsAddSerialization) {
 TEST(LaunchTest, CoversAllThreadsOnce) {
   Device dev(DeviceSpec::rtx4090());
   std::vector<int> counts(1000, 0);
-  launch(dev, blocks_for(counts.size(), 128), 128, [&](BlockCtx& blk) {
+  launch(dev, "cover", blocks_for(counts.size(), 128), 128, [&](BlockCtx& blk) {
     blk.threads([&](int tid) {
       const std::size_t i = static_cast<std::size_t>(blk.block_id()) * 128 +
                             static_cast<std::size_t>(tid);
@@ -86,23 +88,26 @@ TEST(Collectives, AllReduceSumIsExactAndReplicated) {
   // Training computes the reduced values on the host; the group charges the
   // exchange to every participant.
   DeviceGroup group(DeviceSpec::rtx4090(), 4);
-  group.charge_all_reduce("ring_all_reduce", 16 * sizeof(float));
+  group.charge_all_reduce("ring_all_reduce", 16 * sizeof(float),
+                          16 * sizeof(float));
   for (int d = 0; d < 4; ++d) EXPECT_GT(group.device(d).modeled_seconds(), 0.0);
 }
 
 TEST(Collectives, NvlinkCheaperThanPcie) {
   auto run_with = [&](LinkSpec link) {
     DeviceGroup group(DeviceSpec::rtx4090(), 4, link);
-    group.charge_all_reduce("ring_all_reduce", (1 << 16) * sizeof(float));
+    group.charge_all_reduce("ring_all_reduce", (1 << 16) * sizeof(float),
+                            (1 << 16) * sizeof(float));
     return group.device(0).modeled_seconds();
   };
-  EXPECT_LT(run_with(LinkSpec::nvlink()) * 3, run_with(LinkSpec::pcie4()));
+  EXPECT_LT(run_with(LinkSpec{200e9, 3e-6}) * 3, run_with(LinkSpec::pcie4()));
 }
 
 TEST(Collectives, RingCostGrowsWithDeviceCount) {
   auto comm_time = [&](int devices) {
     DeviceGroup group(DeviceSpec::rtx4090(), devices);
-    group.charge_all_reduce("ring_all_reduce", (1 << 14) * sizeof(float));
+    group.charge_all_reduce("ring_all_reduce", (1 << 14) * sizeof(float),
+                            (1 << 14) * sizeof(float));
     return group.device(0).modeled_seconds();
   };
   // Ring all-reduce latency term scales with (k-1); bandwidth term saturates.
@@ -111,7 +116,7 @@ TEST(Collectives, RingCostGrowsWithDeviceCount) {
 
 TEST(Collectives, SingleDeviceChargesNoComm) {
   DeviceGroup group(DeviceSpec::rtx4090(), 1);
-  group.charge_all_reduce("ring_all_reduce", sizeof(float));
+  group.charge_all_reduce("ring_all_reduce", sizeof(float), sizeof(float));
   EXPECT_DOUBLE_EQ(group.device(0).modeled_seconds(), 0.0);
 }
 
@@ -218,15 +223,21 @@ TEST(MemoryLedger, CapacityStillEnforced) {
 TEST(PhaseAccounting, TimeLandsInCurrentPhase) {
   Device dev(DeviceSpec::rtx4090());
   dev.set_phase("alpha");
-  dev.add_modeled_time(1.0);
+  charge_seconds(dev, "k", 1.0);
   dev.set_phase("beta");
-  dev.add_modeled_time(2.0);
+  charge_seconds(dev, "k", 2.0);
+  // A scoped phase switch comes back even when a throw leaves the scope.
+  try {
+    PhaseTag retry(dev, "retry");
+    charge_seconds(dev, "k", 4.0);
+    throw std::runtime_error("leave the scope");
+  } catch (const std::runtime_error&) {
+  }
+  EXPECT_EQ(dev.phase(), "beta");
   EXPECT_DOUBLE_EQ(dev.phase_seconds().at("alpha"), 1.0);
   EXPECT_DOUBLE_EQ(dev.phase_seconds().at("beta"), 2.0);
-  EXPECT_DOUBLE_EQ(dev.modeled_seconds(), 3.0);
-  dev.reset_time();
-  EXPECT_DOUBLE_EQ(dev.modeled_seconds(), 0.0);
-  EXPECT_TRUE(dev.phase_seconds().empty());
+  EXPECT_DOUBLE_EQ(dev.phase_seconds().at("retry"), 4.0);
+  EXPECT_DOUBLE_EQ(dev.modeled_seconds(), 7.0);
 }
 
 }  // namespace

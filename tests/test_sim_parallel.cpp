@@ -180,7 +180,8 @@ TEST(SimParallel, OrderedLaunchRunsInlineInBlockOrder) {
     sim::Device dev(sim::DeviceSpec::rtx4090());
     Run r;
     r.thread_of_block.resize(kGrid);
-    r.stats = sim::launch(dev, kGrid, /*block_dim=*/32, [&](sim::BlockCtx& blk) {
+    r.stats = sim::launch(dev, "ordered_sum", kGrid, /*block_dim=*/32,
+                          [&](sim::BlockCtx& blk) {
                 // Written without a lock: ordered blocks never overlap.
                 r.thread_of_block[static_cast<std::size_t>(blk.block_id())] =
                     std::this_thread::get_id();
@@ -221,7 +222,7 @@ TEST(SimParallel, CommitFreeLaunchFansOut) {
   constexpr int kGrid = 16;
   sim::Device dev(sim::DeviceSpec::rtx4090());
   std::vector<std::thread::id> thread_of_block(kGrid);
-  sim::launch(dev, kGrid, /*block_dim=*/32, [&](sim::BlockCtx& blk) {
+  sim::launch(dev, "fan_out", kGrid, /*block_dim=*/32, [&](sim::BlockCtx& blk) {
     // Heavy enough that a grain policy would still fan it out.
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
     thread_of_block[static_cast<std::size_t>(blk.block_id())] =
@@ -242,7 +243,7 @@ TEST(SimParallel, CommitFromFannedOutBlockFails) {
     sim::Device dev(sim::DeviceSpec::rtx4090());
     float total = 0.0f;
     EXPECT_THROW(
-        sim::launch(dev, /*grid_dim=*/16, /*block_dim=*/8,
+        sim::launch(dev, "late_commit", /*grid_dim=*/16, /*block_dim=*/8,
                     [&](sim::BlockCtx& blk) {
                       if (blk.block_id() == 3) blk.commit([&] { total += 1.0f; });
                     }),
@@ -297,7 +298,7 @@ TEST(SimParallel, LaunchPropagatesKernelException) {
   const auto expect_failure = [&](bool ordered, std::vector<int> failing,
                                   const char* expected) {
     try {
-      sim::launch(dev, /*grid_dim=*/32, /*block_dim=*/8,
+      sim::launch(dev, "failing_blocks", /*grid_dim=*/32, /*block_dim=*/8,
                   [&](sim::BlockCtx& blk) {
                     if (ordered) blk.commit([] {});
                     for (int b : failing) {
@@ -317,7 +318,7 @@ TEST(SimParallel, LaunchPropagatesKernelException) {
     expect_failure(ordered, {0, 3}, "block 0");
   }
   // The scheduler is reusable after a failed launch.
-  sim::launch(dev, 8, 8, [](sim::BlockCtx&) {});
+  sim::launch(dev, "empty", 8, 8, [](sim::BlockCtx&) {});
 }
 
 }  // namespace
