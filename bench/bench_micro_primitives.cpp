@@ -9,6 +9,7 @@
 
 #include "common/rng.h"
 #include "core/histogram.h"
+#include "core/split.h"
 #include "data/quantize.h"
 #include "data/synthetic.h"
 #include "sim/primitives.h"
@@ -130,6 +131,57 @@ BENCHMARK(BM_HistGlobal);
 BENCHMARK(BM_HistGlobalPacked);
 BENCHMARK(BM_HistShared);
 BENCHMARK(BM_HistSortReduce);
+
+// One level of split search: 8 nodes of 50, 100, ..., 400 rows over 27
+// features of `range(0)` bins, `range(1)` outputs. Rows land in uniform
+// random bins, so the smaller nodes leave most of a 256-bin feature's bins
+// empty, as the deeper levels of a 256-bin Helena-shaped fit do.
+void BM_FindBestSplits(benchmark::State& state) {
+  const int n_bins = static_cast<int>(state.range(0));
+  const int d = static_cast<int>(state.range(1));
+  constexpr std::size_t kFeatures = 27;
+  const core::HistogramLayout layout(std::vector<int>(kFeatures, n_bins),
+                                     std::vector<std::uint8_t>(kFeatures, 0), d);
+  Rng rng(11);
+  std::vector<core::NodeHistogram> hists(8);
+  std::vector<std::vector<sim::GradPair>> totals(hists.size());
+  std::vector<core::NodeSplitInput> nodes;
+  std::vector<sim::GradPair> row(static_cast<std::size_t>(d));
+  for (std::size_t ni = 0; ni < hists.size(); ++ni) {
+    const auto n_rows = static_cast<std::uint32_t>(50 * (ni + 1));
+    auto& hist = hists[ni];
+    hist.resize(layout);
+    totals[ni].assign(static_cast<std::size_t>(d), sim::GradPair{});
+    for (std::uint32_t r = 0; r < n_rows; ++r) {
+      for (std::size_t k = 0; k < row.size(); ++k) {
+        row[k] = {rng.uniform(-1.0f, 1.0f), rng.uniform(0.1f, 1.0f)};
+        totals[ni][k] += row[k];
+      }
+      for (std::size_t f = 0; f < kFeatures; ++f) {
+        const auto b = static_cast<int>(
+            rng.next_below(static_cast<std::uint64_t>(n_bins)));
+        for (int k = 0; k < d; ++k) {
+          hist.sums[layout.slot(f, b, k)] += row[static_cast<std::size_t>(k)];
+        }
+        ++hist.counts[layout.bin_index(f, b)];
+      }
+    }
+    nodes.push_back({&hist, totals[ni], n_rows});
+  }
+  std::vector<std::uint32_t> features(kFeatures);
+  std::iota(features.begin(), features.end(), 0u);
+  const core::TrainConfig cfg;
+  core::SplitScratch scratch;
+  sim::Device dev(sim::DeviceSpec::rtx4090());
+  for (auto _ : state) {
+    auto best = core::find_best_splits(dev, layout, nodes, features, cfg, scratch);
+    benchmark::DoNotOptimize(best.data());
+  }
+  state.SetItemsProcessed(static_cast<std::int64_t>(layout.size()) *
+                          static_cast<std::int64_t>(nodes.size()) *
+                          state.iterations());
+}
+BENCHMARK(BM_FindBestSplits)->Args({256, 100})->Args({64, 10});
 
 void BM_Quantize(benchmark::State& state) {
   auto& f = BuilderFixtureData::get();

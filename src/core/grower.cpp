@@ -292,7 +292,7 @@ float local_feature_gain(const HistogramLayout& layout,
                          const NodeHistogram& hist,
                          std::span<const sim::GradPair> totals,
                          std::uint32_t count, const TrainConfig& cfg,
-                         std::uint32_t f) {
+                         std::uint32_t f, std::vector<double>& left) {
   const int d = layout.n_outputs();
   const double lambda = cfg.lambda_l2;
   const auto min_inst =
@@ -303,8 +303,10 @@ float local_feature_gain(const HistogramLayout& layout,
     parent += static_cast<double>(t.g) * t.g /
               (static_cast<double>(t.h) + lambda);
   }
-  std::vector<double> gl(static_cast<std::size_t>(d), 0.0);
-  std::vector<double> hl(static_cast<std::size_t>(d), 0.0);
+  // The running left sums: g in left[0, d), h in left[d, 2d).
+  left.assign(2 * static_cast<std::size_t>(d), 0.0);
+  const std::span<double> gl(left.data(), static_cast<std::size_t>(d));
+  const std::span<double> hl(left.data() + d, static_cast<std::size_t>(d));
   std::uint32_t left_count = 0;
   float best = cfg.min_split_gain;
   bool found = false;
@@ -339,15 +341,15 @@ float local_feature_gain(const HistogramLayout& layout,
 
 int TreeGrower::best_local_feature(const NodeHistogram& hist,
                                    std::span<const sim::GradPair> totals,
-                                   std::uint32_t count,
-                                   float* out_gain) const {
+                                   std::uint32_t count, float* out_gain) {
   // Ascending feature scan with strict `>`: implicit lowest-feature-id
   // tie-break, matching find_best_splits and the BestSplitMsg election rule.
   int best_f = -1;
   float best_gain = ctx_.config.min_split_gain;
   for (std::uint32_t f : grow_features_) {
     const float gain =
-        local_feature_gain(ctx_.layout, hist, totals, count, ctx_.config, f);
+        local_feature_gain(ctx_.layout, hist, totals, count, ctx_.config, f,
+                           vote_left_);
     if (gain > best_gain) {
       best_gain = gain;
       best_f = static_cast<int>(f);
@@ -371,7 +373,7 @@ void TreeGrower::accumulate_local_votes(
   for (std::uint32_t f : grow_features_) {
     scanned_bins += static_cast<std::uint64_t>(ctx_.layout.n_bins(f));
     const float gain = local_feature_gain(ctx_.layout, part, dev_totals,
-                                          dev_count, ctx_.config, f);
+                                          dev_count, ctx_.config, f, vote_left_);
     if (gain > ctx_.config.min_split_gain) noms.push_back({gain, f});
   }
   const auto top = std::min(noms.size(),

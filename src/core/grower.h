@@ -186,7 +186,7 @@ class TreeGrower {
   // itself never depends on it.
   int best_local_feature(const NodeHistogram& hist,
                          std::span<const sim::GradPair> totals,
-                         std::uint32_t count, float* out_gain) const;
+                         std::uint32_t count, float* out_gain);
   // Voting-parallel: nominate this device's local top-k features from its
   // partial histogram into vote_tally_ (and charge the local gain scan).
   void accumulate_local_votes(sim::Device& dev, const NodeHistogram& part,
@@ -278,6 +278,9 @@ class TreeGrower {
   // Voting-parallel per-exchange vote tally (indexed by original feature id)
   // and cumulative honesty counters.
   std::vector<std::uint32_t> vote_tally_;
+  // The nomination scan's running left sums (2d doubles), reused by every
+  // feature it scans.
+  std::vector<double> vote_left_;
   std::uint64_t vote_rounds_ = 0;
   std::uint64_t vote_misses_ = 0;
   // Per-device block caches (out-of-core mode; empty otherwise).

@@ -16,11 +16,14 @@
 // pairs that accumulate; it then walks only the kept pairs, in row order, so
 // the conflict tracker sees the same slot sequence as a per-element loop.
 // The kept list, tiles and tile counts live in per-thread BlockScratch that
-// every block reuses and re-zeroes; none of it is simulated memory.
+// every block reuses; none of it is simulated memory. The tiles obey the
+// tile rule (see TileLease): all-zero between blocks, so a block zeroes only
+// the bins it touched, after its flush.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
+#include <exception>
 #include <span>
 #include <vector>
 
@@ -72,8 +75,10 @@ inline void restage_feature_slots(const HistBuildInput& in, NodeHistogram& out) 
 
 // Host storage a block works in: what a real block keeps in registers and
 // shared memory. One instance per host thread, reused by every block that
-// thread runs; a block re-zeroes what it uses before it uses it. Every
-// routine sizes each member it writes, and no member serves two purposes.
+// thread runs. Every routine sizes each member it writes, and no member
+// serves two purposes. The tiles are taken only through TileLease, which
+// keeps them all-zero between blocks; every other member is written before
+// it is read.
 struct BlockScratch {
   std::vector<sim::GradPair> tile;         // smem/gmem: d-wide sums per bin
   std::vector<std::uint32_t> tile_counts;  // smem/gmem: rows per bin
@@ -88,6 +93,47 @@ inline BlockScratch& block_scratch() {
   thread_local BlockScratch scratch;
   return scratch;
 }
+
+// One block's zeroed tile of `n_bins` bins, d outputs wide: exactly the
+// first n_bins * d slots of the thread's tile and n_bins of its counts.
+// The tile rule: between blocks, every slot of BlockScratch::tile and
+// tile_counts is zero, so the lease only grows them (new slots start zero).
+// A block may write only bins whose count it raises; when the lease ends,
+// after the flush, it re-zeroes just those bins. If the block is unwinding
+// instead, a bin may hold sums without a count yet, so the lease re-zeroes
+// the whole tile.
+class TileLease {
+ public:
+  TileLease(BlockScratch& scratch, std::size_t n_bins, std::size_t d)
+      : d_(d), exceptions_(std::uncaught_exceptions()) {
+    if (scratch.tile.size() < n_bins * d) scratch.tile.resize(n_bins * d);
+    if (scratch.tile_counts.size() < n_bins) scratch.tile_counts.resize(n_bins);
+    sums = {scratch.tile.data(), n_bins * d};
+    counts = {scratch.tile_counts.data(), n_bins};
+  }
+  TileLease(const TileLease&) = delete;
+  TileLease& operator=(const TileLease&) = delete;
+  ~TileLease() {
+    if (std::uncaught_exceptions() > exceptions_) {
+      std::fill(sums.begin(), sums.end(), sim::GradPair{});
+      std::fill(counts.begin(), counts.end(), 0u);
+      return;
+    }
+    for (std::size_t t = 0; t < counts.size(); ++t) {
+      if (counts[t] == 0) continue;
+      std::fill_n(sums.begin() + static_cast<std::ptrdiff_t>(t * d_), d_,
+                  sim::GradPair{});
+      counts[t] = 0;
+    }
+  }
+
+  std::span<sim::GradPair> sums;
+  std::span<std::uint32_t> counts;
+
+ private:
+  std::size_t d_;
+  int exceptions_;
+};
 
 // Fetches feature f's bin for node rows [row_lo, row_hi) and keeps, in row
 // order, the rows whose bin lies in [bin_lo, bin_lo + n_tile_bins) and is

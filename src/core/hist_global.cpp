@@ -46,14 +46,14 @@ class GlobalBuilder final : public HistogramBuilder {
       const std::size_t row_hi = std::min(n_rows, row_lo + kBlock);
       if (row_lo >= row_hi) return;
 
-      // Block-private tile for this feature's slice (per-thread scratch,
-      // zero-filled here); flushed in block-id order below so the
-      // accumulation order is worker-count-independent.
+      // Block-private tile for this feature's slice (per-thread scratch
+      // under the tile rule: zero on entry, re-zeroed where touched on
+      // exit); flushed in block-id order below so the accumulation order is
+      // worker-count-independent.
       const int n_bins = layout.n_bins(f);
       auto& scratch = detail::block_scratch();
-      scratch.tile.assign(static_cast<std::size_t>(n_bins) * static_cast<std::size_t>(d),
-                          sim::GradPair{});
-      scratch.tile_counts.assign(static_cast<std::size_t>(n_bins), 0);
+      detail::TileLease tile(scratch, static_cast<std::size_t>(n_bins),
+                             static_cast<std::size_t>(d));
 
       // Every non-zero-bin row, in row order.
       detail::BuildTally tally;
@@ -68,12 +68,12 @@ class GlobalBuilder final : public HistogramBuilder {
         tally.conflict_hits += tracker.note(static_cast<std::uintptr_t>(slot0 + lbase));
         const float* gi = in.g.data() + row * static_cast<std::size_t>(d);
         const float* hi = in.h.data() + row * static_cast<std::size_t>(d);
-        sim::GradPair* slot = scratch.tile.data() + lbase;
+        sim::GradPair* slot = tile.sums.data() + lbase;
         for (int k = 0; k < d; ++k) {
           slot[k].g += gi[k];
           slot[k].h += hi[k];
         }
-        ++scratch.tile_counts[scratch.bins[i]];
+        ++tile.counts[scratch.bins[i]];
       }
 
       // Checked views over the cross-block histogram (race/memory checker;
@@ -85,9 +85,9 @@ class GlobalBuilder final : public HistogramBuilder {
 
       blk.commit([&] {
         for (int b = 0; b < n_bins; ++b) {
-          const std::uint32_t bin_count = scratch.tile_counts[static_cast<std::size_t>(b)];
+          const std::uint32_t bin_count = tile.counts[static_cast<std::size_t>(b)];
           if (bin_count == 0) continue;
-          const sim::GradPair* local = scratch.tile.data() +
+          const sim::GradPair* local = tile.sums.data() +
                                        static_cast<std::size_t>(b) * static_cast<std::size_t>(d);
           sums_v.atomic_add_n(layout.slot(f, b, 0), static_cast<std::size_t>(d),
                               [local](std::size_t k) { return local[k]; });

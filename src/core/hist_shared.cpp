@@ -10,10 +10,12 @@
 // The tiling parameters — chunk size and bin offset — are computed per block
 // from the device's shared-memory budget, exactly as the paper describes.
 //
-// On the host, step 2 is detail::compact_rows with the tile's bin range
-// followed by one d-wide atomic_add_n per kept row, and step 3 is one
-// atomic_add_n per touched bin; the charges below are what the per-element
-// kernel does, whatever the host loop looks like.
+// On the host, step 1 is free (the tile rule, detail::TileLease: the tile is
+// already zero and the block re-zeroes only its touched bins afterwards),
+// step 2 is detail::compact_rows with the tile's bin range followed by one
+// d-wide atomic_add_n per kept row, and step 3 is one atomic_add_n per
+// touched bin; the charges below are what the per-element kernel does,
+// whatever the host loop looks like.
 #include <vector>
 
 #include "core/hist_common.h"
@@ -88,19 +90,18 @@ class SharedBuilder final : public HistogramBuilder {
       if (row_lo >= row_hi) return;
 
       // Block-private shared-memory tile: as on hardware, blocks share
-      // nothing but global memory. The host storage is per-thread scratch,
-      // zero-filled here for this block.
+      // nothing but global memory. The host storage is per-thread scratch
+      // under the tile rule: zero on entry, re-zeroed where touched on exit.
       auto& scratch = detail::block_scratch();
       const std::size_t tile_bins = static_cast<std::size_t>(bin_hi - bin_lo);
       const std::size_t tile_size = tile_bins * static_cast<std::size_t>(d);
-      scratch.tile.assign(tile_size, sim::GradPair{});
-      scratch.tile_counts.assign(tile_bins, 0);
+      detail::TileLease tile(scratch, tile_bins, static_cast<std::size_t>(d));
 
       // Checked views (race/memory checker; non-counting — the bulk tallies
-      // below stay the profile of record). The tiles were zero-filled above,
-      // the global histogram accumulates across blocks under commit.
-      auto tile_v = blk.shared_view(scratch.tile, "hist_tile", sim::SharedInit::kZeroed);
-      auto tile_counts_v = blk.shared_view(scratch.tile_counts, "hist_tile_counts",
+      // below stay the profile of record). The tiles start zeroed, the
+      // global histogram accumulates across blocks under commit.
+      auto tile_v = blk.shared_view(tile.sums, "hist_tile", sim::SharedInit::kZeroed);
+      auto tile_counts_v = blk.shared_view(tile.counts, "hist_tile_counts",
                                            sim::SharedInit::kZeroed);
       auto sums_v =
           blk.global_view(std::span<sim::GradPair>(out.sums), "hist_sums");

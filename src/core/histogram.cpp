@@ -71,7 +71,9 @@ void reconstruct_zero_bins(const HistBuildInput& in, NodeHistogram& out) {
 
   // Bin-major over each feature's contiguous slice with a d-wide
   // accumulator: every output still adds its non-zero bins in ascending
-  // order from 0, as a per-output loop would.
+  // order from 0, as a per-output loop would. An empty bin whose sums are
+  // all ±0 would leave the accumulator bitwise unchanged (sim::all_zero), so
+  // it is skipped.
   std::vector<sim::GradPair> sum(d);
   for (std::uint32_t f : in.features) {
     const int n_bins = layout.n_bins(f);
@@ -81,20 +83,15 @@ void reconstruct_zero_bins(const HistBuildInput& in, NodeHistogram& out) {
     std::fill(sum.begin(), sum.end(), sim::GradPair{});
     std::uint32_t count = 0;
     for (int b = 0; b < n_bins; ++b) {
-      if (b == zb) continue;
       const sim::GradPair* p = bins + static_cast<std::size_t>(b) * d;
-      for (std::size_t k = 0; k < d; ++k) {
-        sum[k].g += p[k].g;
-        sum[k].h += p[k].h;
-      }
+      if (b == zb || (counts[b] == 0 && sim::all_zero(p, d))) continue;
+      sim::combine_pairs<sim::PairOp::kAdd>(sum.data(), sum.data(), p, d);
       count += counts[b];
     }
     // Zero-bin sums = node totals − Σ other bins (per output).
-    sim::GradPair* z = out.sums.data() + layout.slot(f, zb, 0);
-    for (std::size_t k = 0; k < d; ++k) {
-      z[k].g = in.node_totals[k].g - sum[k].g;
-      z[k].h = in.node_totals[k].h - sum[k].h;
-    }
+    sim::combine_pairs<sim::PairOp::kSub>(
+        out.sums.data() + layout.slot(f, zb, 0), in.node_totals.data(),
+        sum.data(), d);
     GBMO_CHECK(count <= in.node_count)
         << "non-zero bin counts exceed node size for feature " << f;
     out.counts[layout.bin_index(f, zb)] = in.node_count - count;
@@ -166,11 +163,9 @@ void subtract_histograms(sim::Device& dev, const HistogramLayout& layout,
     // One flat pass over the feature's contiguous slots.
     const std::size_t lo = layout.bin_index(f, 0);
     const std::size_t n_bins = static_cast<std::size_t>(layout.n_bins(f));
-    const sim::GradPair* __restrict small = smaller.sums.data() + lo * d;
-    sim::GradPair* __restrict par = parent.sums.data() + lo * d;
-    for (std::size_t i = 0; i < n_bins * d; ++i) {
-      par[i] = sim::GradPair{par[i].g - small[i].g, par[i].h - small[i].h};
-    }
+    sim::GradPair* par = parent.sums.data() + lo * d;
+    sim::combine_pairs<sim::PairOp::kSub>(par, par, smaller.sums.data() + lo * d,
+                                          n_bins * d);
     for (std::size_t b = lo; b < lo + n_bins; ++b) {
       parent.counts[b] -= smaller.counts[b];
     }

@@ -1,5 +1,7 @@
 #include "core/split.h"
 
+#include <emmintrin.h>
+
 #include <algorithm>
 #include <cmath>
 #include <limits>
@@ -30,6 +32,40 @@ std::size_t search_bins(const HistogramLayout& layout, std::size_t n_nodes,
     bins_per_node += static_cast<std::size_t>(layout.n_bins(f));
   }
   return bins_per_node * n_nodes;
+}
+
+// Σ_k gl²/(hl+λ) + gr²/(hr+λ) over the d outputs of one candidate, with
+// gl/hl the left prefix and gr/hr = totals − prefix, in double. Two outputs
+// per step: each lane evaluates one output's term with the scalar
+// expression's IEEE operations, and `acc` still adds the terms one at a time
+// in ascending k, so the sum is bitwise the scalar loop's.
+double split_score(const sim::GradPair* prefix, const double* total_g,
+                   const double* total_h, std::size_t d, double lambda) {
+  const __m128d lam = _mm_set1_pd(lambda);
+  double acc = 0.0;
+  std::size_t k = 0;
+  for (; k + 2 <= d; k += 2) {
+    // {g_k, h_k, g_k+1, h_k+1} -> {g_k, g_k+1, h_k, h_k+1}
+    __m128 p = _mm_loadu_ps(reinterpret_cast<const float*>(prefix + k));
+    p = _mm_shuffle_ps(p, p, _MM_SHUFFLE(3, 1, 2, 0));
+    const __m128d gl = _mm_cvtps_pd(p);
+    const __m128d hl = _mm_cvtps_pd(_mm_movehl_ps(p, p));
+    const __m128d gr = _mm_sub_pd(_mm_loadu_pd(total_g + k), gl);
+    const __m128d hr = _mm_sub_pd(_mm_loadu_pd(total_h + k), hl);
+    const __m128d term =
+        _mm_add_pd(_mm_div_pd(_mm_mul_pd(gl, gl), _mm_add_pd(hl, lam)),
+                   _mm_div_pd(_mm_mul_pd(gr, gr), _mm_add_pd(hr, lam)));
+    acc += _mm_cvtsd_f64(term);
+    acc += _mm_cvtsd_f64(_mm_unpackhi_pd(term, term));
+  }
+  if (k < d) {
+    const double gl = prefix[k].g;
+    const double hl = prefix[k].h;
+    const double gr = total_g[k] - gl;
+    const double hr = total_h[k] - hl;
+    acc += gl * gl / (hl + lambda) + gr * gr / (hr + lambda);
+  }
+  return acc;
 }
 
 // The segmented prefix sum across every (node, feature, output) and the
@@ -79,6 +115,8 @@ std::vector<SplitResult> find_best_splits(
   // bin's gain is evaluated from it right away. Splitting after the last bin
   // sends everything left, so the last bin never gets a gain.
   scratch.prefix.resize(d);
+  scratch.total_g.resize(d);
+  scratch.total_h.resize(d);
   scratch.gains.assign(total_bins, -std::numeric_limits<float>::infinity());
   scratch.gain_offsets.clear();
   scratch.gain_offsets.push_back(0);
@@ -87,9 +125,10 @@ std::vector<SplitResult> find_best_splits(
     GBMO_CHECK(node.hist != nullptr);
     GBMO_CHECK(node.totals.size() == d);
     double parent_term = 0.0;  // Σ_k G²/(H+λ)
-    for (const auto& t : node.totals) {
-      parent_term +=
-          static_cast<double>(t.g) * t.g / (static_cast<double>(t.h) + lambda);
+    for (std::size_t k = 0; k < d; ++k) {
+      const double tg = scratch.total_g[k] = node.totals[k].g;
+      const double th = scratch.total_h[k] = node.totals[k].h;
+      parent_term += tg * tg / (th + lambda);
     }
     for (std::uint32_t f : features) {
       const int n_bins = layout.n_bins(f);
@@ -99,18 +138,21 @@ std::vector<SplitResult> find_best_splits(
       std::fill(scratch.prefix.begin(), scratch.prefix.end(), sim::GradPair{});
       std::uint32_t count_left = 0;
       for (int b = 0; b + 1 < n_bins; ++b, ++gain_pos, sums += d) {
-        for (std::size_t k = 0; k < d; ++k) scratch.prefix[k] += sums[k];
+        // An empty bin whose sums are all ±0 leaves the prefix bitwise
+        // unchanged (see sim::all_zero) and count_left too, so its gain (or
+        // min-instance skip) is the previous bin's. Bin 0 has none.
+        if (b > 0 && counts[b] == 0 && sim::all_zero(sums, d)) {
+          scratch.gains[gain_pos] = scratch.gains[gain_pos - 1];
+          continue;
+        }
+        sim::combine_pairs<sim::PairOp::kAdd>(scratch.prefix.data(),
+                                              scratch.prefix.data(), sums, d);
         count_left += counts[b];
         const std::uint32_t count_right = node.node_count - count_left;
         if (count_left < min_inst || count_right < min_inst) continue;
-        double acc = 0.0;
-        for (std::size_t k = 0; k < d; ++k) {
-          const double gl = scratch.prefix[k].g;
-          const double hl = scratch.prefix[k].h;
-          const double gr = static_cast<double>(node.totals[k].g) - gl;
-          const double hr = static_cast<double>(node.totals[k].h) - hl;
-          acc += gl * gl / (hl + lambda) + gr * gr / (hr + lambda);
-        }
+        const double acc =
+            split_score(scratch.prefix.data(), scratch.total_g.data(),
+                        scratch.total_h.data(), d, lambda);
         scratch.gains[gain_pos] = static_cast<float>(0.5 * (acc - parent_term));
       }
       ++gain_pos;  // the last bin

@@ -10,7 +10,10 @@
 // feature comes from a segmented reduction (one segment per feature, mapped
 // adaptively onto blocks), and a final global reduction picks the winning
 // feature. The cost model is charged for the scan, gain and reduction
-// kernels of §3.1.3, in that order.
+// kernels of §3.1.3, in that order. On the host the prefix and the gain run
+// two outputs per SSE2 op, and an empty bin that cannot change the prefix
+// reuses the previous bin's gain; every gain is bitwise the scalar loop's
+// (DESIGN.md §5).
 #pragma once
 
 #include <span>
@@ -33,6 +36,8 @@ struct SplitResult {
 // Scratch buffers reused across calls to avoid reallocation.
 struct SplitScratch {
   std::vector<sim::GradPair> prefix;  // running left sums of one (node, feature)
+  std::vector<double> total_g;        // the node's d totals, as doubles
+  std::vector<double> total_h;
   std::vector<float> gains;           // per (node, feature, bin)
   std::vector<std::uint32_t> gain_offsets;
   std::vector<sim::ArgMax> per_feature_best;

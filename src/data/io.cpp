@@ -95,8 +95,14 @@ Dataset read_csv(std::istream& is, std::size_t n_features) {
     ++line_no;
     if (line.empty()) continue;
     const auto cells = split_line(line, ',');
-    GBMO_CHECK(cells.size() == n_features + label_cells)
-        << "CSV line " << line_no << " has " << cells.size() << " cells";
+    if (cells.size() != n_features + label_cells) {
+      throw Error("CSV line " + std::to_string(line_no) + " has " +
+                  std::to_string(cells.size()) + " cells, expected " +
+                  std::to_string(n_features + label_cells) + " (" +
+                  std::to_string(n_features) + " features + " +
+                  std::to_string(label_cells) + " label cells for " +
+                  task_name(task) + ")");
+    }
     for (std::size_t f = 0; f < n_features; ++f) {
       features.push_back(parse_cell<float>(cells[f], "CSV", line_no, f + 1));
     }

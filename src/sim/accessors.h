@@ -153,12 +153,12 @@ template <typename T>
 class Shared {
  public:
   // Counting, unchecked view (the original accessor).
-  Shared(std::vector<T>& storage, KernelStats& stats)
+  Shared(std::span<T> storage, KernelStats& stats)
       : data_(storage), stats_(&stats) {}
 
-  // Checked, non-counting view; create it after the backing vector has its
-  // final size (the shadow is sized at construction).
-  Shared(std::vector<T>& storage, BlockCheck* check, const char* name,
+  // Checked, non-counting view of exactly `storage` (the shadow is sized at
+  // construction).
+  Shared(std::span<T> storage, BlockCheck* check, const char* name,
          SharedInit init)
       : data_(storage),
         check_(check),
@@ -214,7 +214,7 @@ class Shared {
   std::size_t size() const { return data_.size(); }
 
  private:
-  std::vector<T>& data_;
+  std::span<T> data_;
   KernelStats* stats_ = nullptr;
   BlockCheck* check_ = nullptr;
   BlockCheck::SharedRegion* region_ = nullptr;

@@ -132,9 +132,14 @@ class BlockCtx {
   }
 
   template <typename T>
-  Shared<T> shared_view(std::vector<T>& storage, const char* name,
+  Shared<T> shared_view(std::span<T> storage, const char* name,
                         SharedInit init = SharedInit::kUndefined) {
     return Shared<T>(storage, check_, name, init);
+  }
+  template <typename T>
+  Shared<T> shared_view(std::vector<T>& storage, const char* name,
+                        SharedInit init = SharedInit::kUndefined) {
+    return shared_view(std::span<T>(storage), name, init);
   }
 
  private:

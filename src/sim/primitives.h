@@ -12,6 +12,8 @@
 // with the byte volumes of the multi-pass GPU implementations they stand for.
 #pragma once
 
+#include <emmintrin.h>
+
 #include <cstdint>
 #include <span>
 #include <vector>
@@ -32,6 +34,47 @@ struct GradPair {
   friend GradPair operator+(GradPair a, const GradPair& b) { return a += b; }
   friend bool operator==(const GradPair&, const GradPair&) = default;
 };
+static_assert(sizeof(GradPair) == 2 * sizeof(float));
+
+// out[k] = a[k] + b[k] (kAdd) or a[k] - b[k] (kSub) for k < n: the 2n
+// floats four at a time (two pairs per SSE2 op), then one scalar tail pair.
+// Every float is the same correctly rounded IEEE operation a per-element
+// loop performs, so the result is bitwise that loop's. `out` may be `a`.
+enum class PairOp { kAdd, kSub };
+template <PairOp Op>
+inline void combine_pairs(GradPair* out, const GradPair* a, const GradPair* b,
+                          std::size_t n) {
+  auto* o = reinterpret_cast<float*>(out);
+  const auto* x = reinterpret_cast<const float*>(a);
+  const auto* y = reinterpret_cast<const float*>(b);
+  std::size_t i = 0;
+  for (; i + 4 <= 2 * n; i += 4) {
+    const __m128 xi = _mm_loadu_ps(x + i);
+    const __m128 yi = _mm_loadu_ps(y + i);
+    _mm_storeu_ps(o + i, Op == PairOp::kAdd ? _mm_add_ps(xi, yi)
+                                            : _mm_sub_ps(xi, yi));
+  }
+  for (; i < 2 * n; ++i) o[i] = Op == PairOp::kAdd ? x[i] + y[i] : x[i] - y[i];
+}
+
+// True when all 2n floats of `p` are ±0. A running sum that starts at +0 is
+// never −0 (x + y is −0 only when both are −0), and adding ±0 to a float
+// that is not −0 leaves its bits unchanged, so such a sum may skip these
+// pairs.
+inline bool all_zero(const GradPair* p, std::size_t n) {
+  const auto* w = reinterpret_cast<const float*>(p);
+  __m128i bits = _mm_setzero_si128();
+  std::size_t i = 0;
+  for (; i + 4 <= 2 * n; i += 4) {
+    bits = _mm_or_si128(bits, _mm_castps_si128(_mm_loadu_ps(w + i)));
+  }
+  for (; i < 2 * n; ++i) {
+    bits = _mm_or_si128(bits, _mm_castps_si128(_mm_set_ss(w[i])));
+  }
+  const __m128i magnitude = _mm_and_si128(bits, _mm_set1_epi32(0x7fffffff));
+  return _mm_movemask_epi8(_mm_cmpeq_epi32(magnitude, _mm_setzero_si128())) ==
+         0xffff;
+}
 
 struct ArgMax {
   float value = 0.0f;

@@ -188,6 +188,46 @@ TEST(CliErrors, RejectsMalformedNumbers) {
   }
 }
 
+// A CSV header names its task and output count, so --task and --outputs
+// are optional with CSV; when given they must agree with the header.
+TEST(CliErrors, CsvTaskAndOutputsMustMatchHeader) {
+  const auto data = tmp_path("mr.csv");
+  ASSERT_EQ(run_cli({"generate", "--task", "multiregress", "--n", "60", "--m",
+                     "16", "--d", "6", "--out", data})
+                .code,
+            0);
+  const auto train = [&](std::initializer_list<std::string> extra) {
+    std::vector<std::string> args = {"train",   "--data", data,
+                                     "--features", "16",  "--model",
+                                     tmp_path("m.model"), "--trees", "2"};
+    args.insert(args.end(), extra);
+    std::ostringstream out, err;
+    const int code = run(args, out, err);
+    return CliResult{code, out.str(), err.str()};
+  };
+  const auto agree = train({"--task", "multiregress", "--outputs", "6"});
+  EXPECT_EQ(agree.code, 0) << agree.err;
+  const auto outputs = train({"--task", "multiregress", "--outputs", "5"});
+  EXPECT_EQ(outputs.code, 1);
+  EXPECT_NE(outputs.err.find("--outputs 5"), std::string::npos) << outputs.err;
+  EXPECT_NE(outputs.err.find("says 6"), std::string::npos) << outputs.err;
+  const auto task = train({"--task", "multiclass"});
+  EXPECT_EQ(task.code, 1);
+  EXPECT_NE(task.err.find("--task multiclass"), std::string::npos) << task.err;
+  EXPECT_NE(task.err.find("says multiregress"), std::string::npos) << task.err;
+  const auto eval = run_cli({"evaluate", "--model", tmp_path("m.model"),
+                             "--data", data, "--features", "16", "--task",
+                             "multiregress", "--outputs", "6"});
+  EXPECT_EQ(eval.code, 0) << eval.err;
+
+  // One feature short: the ragged-row error names the expected count.
+  const auto ragged = run_cli({"train", "--data", data, "--features", "15",
+                               "--model", tmp_path("r.model")});
+  EXPECT_EQ(ragged.code, 1);
+  EXPECT_NE(ragged.err.find("15 features + 6 label cells"), std::string::npos)
+      << ragged.err;
+}
+
 TEST(CliErrors, ModelLoadFailureExitsNonzeroWithClearMessage) {
   // Missing file: nonzero exit, message names the path and the problem.
   const auto missing = run_cli({"info", "--model", tmp_path("never_written")});

@@ -9,6 +9,8 @@
 
 #include <array>
 #include <bit>
+#include <map>
+#include <memory>
 #include <numeric>
 #include <set>
 #include <string>
@@ -588,6 +590,74 @@ TEST(HistogramBuilders, ScratchSurvivesSortReduceRunsOnSameThread) {
     }
   }).join();
   sim::set_sim_threads(previous);
+}
+
+// The tile rule (detail::TileLease): smem and gmem blocks leave their
+// thread's tiles all-zero for the next block. One thread runs builds of
+// every tile width back to back — d = 1, 100, 3; smem tiles of 8 bins and of
+// the full shared-memory budget; sort-reduce in between; a 1025-row node, so
+// the last row chunk holds one row — and each must match, bit for bit, the
+// same build run on a fresh thread, whose scratch starts empty.
+TEST(HistogramBuilders, TilesStayZeroAcrossBuildsOnOneThread) {
+  struct Build {
+    int d;
+    HistMethod method;
+    bool eight_bin_tiles;
+  };
+  const std::vector<Build> builds = {
+      {1, HistMethod::kShared, false},    {1, HistMethod::kGlobal, false},
+      {100, HistMethod::kShared, true},   {100, HistMethod::kSortReduce, false},
+      {100, HistMethod::kShared, false},  {100, HistMethod::kGlobal, false},
+      {3, HistMethod::kShared, true},     {3, HistMethod::kGlobal, false},
+      {3, HistMethod::kSortReduce, false}, {3, HistMethod::kShared, false},
+  };
+  std::map<int, std::unique_ptr<Fixture>> fixtures;
+  for (const int d : {1, 100, 3}) {
+    fixtures[d] = std::make_unique<Fixture>(d, 0.3, 40 + static_cast<std::uint64_t>(d),
+                                            2050, Node::kOddRows, 256);
+    ASSERT_EQ(fixtures[d]->rows.size(), 1025u);
+  }
+  const auto run = [&](const Build& b) {
+    const Fixture& fx = *fixtures.at(b.d);
+    sim::DeviceSpec spec = sim::DeviceSpec::rtx4090();
+    if (b.eight_bin_tiles) {
+      spec.shared_mem_per_block =
+          8 * static_cast<std::size_t>(b.d) * sizeof(sim::GradPair);
+    }
+    sim::Device dev(spec);
+    NodeHistogram hist;
+    hist.resize(fx.layout);
+    make_builder(b.method)->build(dev, fx.input(true, true, false), hist);
+    return hist;
+  };
+  const auto on_thread = [](auto&& body) {
+    std::thread([&] {
+      try {
+        body();
+      } catch (const std::exception& e) {
+        ADD_FAILURE() << e.what();
+      }
+    }).join();
+  };
+
+  const int previous = sim::set_sim_threads(1);  // every block on its caller
+  std::vector<NodeHistogram> fresh;
+  for (const auto& b : builds) on_thread([&] { fresh.push_back(run(b)); });
+  std::vector<NodeHistogram> reused;
+  on_thread([&] {
+    for (const auto& b : builds) reused.push_back(run(b));
+  });
+  sim::set_sim_threads(previous);
+
+  ASSERT_EQ(fresh.size(), builds.size());
+  ASSERT_EQ(reused.size(), builds.size());
+  for (std::size_t i = 0; i < builds.size(); ++i) {
+    const std::string where = "build " + std::to_string(i) + ": d=" +
+                              std::to_string(builds[i].d) + " " +
+                              hist_method_name(builds[i].method) +
+                              (builds[i].eight_bin_tiles ? " 8-bin tiles" : "");
+    expect_bitwise(reused[i], fresh[i], where.c_str());
+  }
 }
 
 }  // namespace

@@ -225,6 +225,23 @@ TEST(IoTest, NonNumericTokenNamesLineAndColumn) {
       << index;
 }
 
+// A row with the wrong number of cells names the count it expected and
+// where that count comes from: the features plus the task's label cells.
+TEST(IoTest, RaggedRowNamesExpectedCellCount) {
+  // 16 cells per row, read as 15 features + 6 multiregression targets.
+  std::string row;
+  for (int c = 0; c < 22; ++c) row += (c == 0 ? "" : ",") + std::to_string(c);
+  const auto wide = csv_error("task,multiregress,6\n" + row + "\n", 15);
+  EXPECT_TRUE(has(wide, "CSV line 2 has 22 cells, expected 21") &&
+              has(wide, "15 features + 6 label cells for multiregress"))
+      << wide;
+  EXPECT_FALSE(has(wide, "check failed")) << wide;
+  const auto rank = csv_error("task,ranking,1\n0.5,1,2\n0.5,1\n", 1);
+  EXPECT_TRUE(has(rank, "CSV line 3 has 2 cells, expected 3") &&
+              has(rank, "1 features + 2 label cells for ranking"))
+      << rank;
+}
+
 // Files with CRLF line endings load exactly as their LF originals.
 TEST(IoTest, CrlfFilesLoadLikeLf) {
   data::MulticlassSpec mc;

@@ -306,6 +306,17 @@ ReferenceSearch reference_search(const HistogramLayout& layout,
   return ref;
 }
 
+// How a RandomLevel's histograms deviate from freshly built ones.
+enum class LevelShape {
+  kBuilt,
+  // Some bins keep their sums but lose their count, and some are count 0
+  // with every sum ±0 — what in-place sibling subtraction leaves behind.
+  kSubtracted,
+  // As kSubtracted, and a third of the rows carry zero hessians (half of
+  // those zero gradients too): with λ = 0, gains come out ±inf and NaN.
+  kZeroHessians,
+};
+
 // A level of `n_nodes` nodes over features of 1..64 bins. Gradients span
 // eight orders of magnitude, so any change to the float-addition order of a
 // prefix changes its bits. Slots of features outside `view` hold NaN: the
@@ -317,7 +328,7 @@ struct RandomLevel {
   std::vector<NodeSplitInput> inputs;
 
   RandomLevel(int d, std::size_t n_nodes, std::span<const std::uint32_t> view,
-              std::uint64_t seed) {
+              std::uint64_t seed, LevelShape shape = LevelShape::kBuilt) {
     Rng rng(seed);
     const std::vector<int> bin_counts = {1, 2, 64, 17, 5, 33, 3, 48, 9};
     layout = HistogramLayout(bin_counts, std::vector<std::uint8_t>(bin_counts.size(), 0), d);
@@ -346,8 +357,12 @@ struct RandomLevel {
         }
       }
       for (std::uint32_t r = 0; r < n_rows; ++r) {
+        const bool zero_h =
+            shape == LevelShape::kZeroHessians && rng.next_below(3) == 0;
+        const bool zero_g = zero_h && rng.next_below(2) == 0;
         for (int k = 0; k < d; ++k) {
-          row[static_cast<std::size_t>(k)] = {mixed(), std::abs(mixed())};
+          row[static_cast<std::size_t>(k)] = {zero_g ? 0.0f : mixed(),
+                                              zero_h ? 0.0f : std::abs(mixed())};
           t[static_cast<std::size_t>(k)] += row[static_cast<std::size_t>(k)];
         }
         for (std::uint32_t f : view) {
@@ -359,50 +374,87 @@ struct RandomLevel {
           ++hist.counts[layout.bin_index(f, b)];
         }
       }
+      if (shape != LevelShape::kBuilt) {
+        for (std::uint32_t f : view) {
+          for (int b = 0; b < layout.n_bins(f); ++b) {
+            const auto pick = rng.next_below(6);
+            if (pick > 1) continue;
+            hist.counts[layout.bin_index(f, b)] = 0;  // pick 0: residual sums
+            if (pick == 0) continue;
+            for (int k = 0; k < d; ++k) {
+              auto& slot = hist.sums[layout.slot(f, b, k)];
+              slot.g = rng.next_below(2) == 0 ? -0.0f : 0.0f;
+              slot.h = rng.next_below(2) == 0 ? -0.0f : 0.0f;
+            }
+          }
+        }
+      }
       inputs.push_back({&hist, t, n_rows});
     }
   }
 };
 
+// Every tail of the 4-float prefix step and the 2-output gain step (d = 1..5,
+// 7, 100), bin 0 evaluated with no previous gain (min_inst 0), empty bins
+// whose gain repeats the previous bin's, count-0 bins that still carry sums
+// (they must be evaluated), and ±inf/NaN gains from zero hessians at λ = 0.
 TEST(SplitFused, BitwiseMatchesScanThenStridedGains) {
   const std::vector<std::vector<std::uint32_t>> views = {
       {0, 1, 2, 3, 4, 5, 6, 7, 8}, {2, 4, 7}, {8, 1, 5}, {6}};
-  for (int d : {1, 7, 100}) {
+  std::size_t infinite = 0;
+  std::size_t nans = 0;
+  for (int d : {1, 2, 3, 4, 5, 7, 100}) {
     for (std::size_t vi = 0; vi < views.size(); ++vi) {
-      const RandomLevel level(d, 6, views[vi], 1000 + static_cast<std::uint64_t>(d) * 7 + vi);
-      for (int min_inst : {1, 14, 30, 59}) {
-        TrainConfig cfg;
-        cfg.min_instances_per_node = min_inst;
-        cfg.lambda_l2 = 0.5f;
-        const std::string where = "d=" + std::to_string(d) + " view " +
-                                  std::to_string(vi) + " min_inst " +
-                                  std::to_string(min_inst);
-        SplitScratch scratch;
-        sim::Device dev(sim::DeviceSpec::rtx4090());
-        const auto fused = find_best_splits(dev, level.layout, level.inputs,
-                                            views[vi], cfg, scratch);
-        const auto ref = reference_search(level.layout, level.inputs, views[vi], cfg);
+      for (const auto shape : {LevelShape::kBuilt, LevelShape::kSubtracted,
+                               LevelShape::kZeroHessians}) {
+        const RandomLevel level(
+            d, 6, views[vi],
+            1000 + static_cast<std::uint64_t>(d) * 7 + vi +
+                100000 * static_cast<std::uint64_t>(shape),
+            shape);
+        for (int min_inst : {0, 1, 14, 30, 59}) {
+          TrainConfig cfg;
+          cfg.min_instances_per_node = min_inst;
+          cfg.lambda_l2 = shape == LevelShape::kZeroHessians ? 0.0f : 0.5f;
+          const std::string where =
+              "d=" + std::to_string(d) + " view " + std::to_string(vi) +
+              " shape " + std::to_string(static_cast<int>(shape)) +
+              " min_inst " + std::to_string(min_inst);
+          SplitScratch scratch;
+          sim::Device dev(sim::DeviceSpec::rtx4090());
+          const auto fused = find_best_splits(dev, level.layout, level.inputs,
+                                              views[vi], cfg, scratch);
+          const auto ref =
+              reference_search(level.layout, level.inputs, views[vi], cfg);
 
-        ASSERT_EQ(scratch.gains.size(), ref.gains.size()) << where;
-        EXPECT_EQ(std::memcmp(scratch.gains.data(), ref.gains.data(),
-                              ref.gains.size() * sizeof(float)),
-                  0)
-            << where << ": gains differ bitwise";
-        EXPECT_EQ(scratch.gain_offsets, ref.gain_offsets) << where;
-        ASSERT_EQ(fused.size(), ref.results.size()) << where;
-        for (std::size_t ni = 0; ni < fused.size(); ++ni) {
-          const auto& a = fused[ni];
-          const auto& b = ref.results[ni];
-          EXPECT_EQ(a.feature, b.feature) << where << " node " << ni;
-          EXPECT_EQ(a.bin, b.bin) << where << " node " << ni;
-          EXPECT_EQ(std::memcmp(&a.gain, &b.gain, sizeof(float)), 0)
-              << where << " node " << ni;
-          EXPECT_EQ(a.n_left, b.n_left) << where << " node " << ni;
-          EXPECT_EQ(a.n_right, b.n_right) << where << " node " << ni;
+          ASSERT_EQ(scratch.gains.size(), ref.gains.size()) << where;
+          EXPECT_EQ(std::memcmp(scratch.gains.data(), ref.gains.data(),
+                                ref.gains.size() * sizeof(float)),
+                    0)
+              << where << ": gains differ bitwise";
+          for (const float gain : ref.gains) {
+            infinite += gain == std::numeric_limits<float>::infinity();
+            nans += std::isnan(gain);
+          }
+          EXPECT_EQ(scratch.gain_offsets, ref.gain_offsets) << where;
+          ASSERT_EQ(fused.size(), ref.results.size()) << where;
+          for (std::size_t ni = 0; ni < fused.size(); ++ni) {
+            const auto& a = fused[ni];
+            const auto& b = ref.results[ni];
+            EXPECT_EQ(a.feature, b.feature) << where << " node " << ni;
+            EXPECT_EQ(a.bin, b.bin) << where << " node " << ni;
+            EXPECT_EQ(std::memcmp(&a.gain, &b.gain, sizeof(float)), 0)
+                << where << " node " << ni;
+            EXPECT_EQ(a.n_left, b.n_left) << where << " node " << ni;
+            EXPECT_EQ(a.n_right, b.n_right) << where << " node " << ni;
+          }
         }
       }
     }
   }
+  // The zero-hessian levels must reach the non-finite gains they exist for.
+  EXPECT_GT(infinite, 0u);
+  EXPECT_GT(nans, 0u);
 }
 
 TEST(LeafObjectiveTest, MatchesFormula) {

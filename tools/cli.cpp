@@ -103,12 +103,28 @@ sim::DeviceSpec parse_device(const std::string& s) {
 }
 
 // Loads a dataset in either format; libsvm needs the task + output count.
+// A CSV header carries both, so with CSV they are optional and, when given,
+// must agree with the header.
 data::Dataset load_dataset(const Args& args, const std::string& path_key) {
   const auto path = args.require(path_key);
   const auto format = args.str("format", "csv");
   const auto n_features = static_cast<std::size_t>(args.integer("features", 0));
   if (n_features == 0) throw Error("missing required option --features");
-  if (format == "csv") return data::read_csv_file(path, n_features);
+  if (format == "csv") {
+    auto dataset = data::read_csv_file(path, n_features);
+    const auto task = args.str("task");
+    if (!task.empty() && data::parse_task(task) != dataset.task()) {
+      throw Error("--task " + task + " disagrees with the CSV header of " +
+                  path + ", which says " + data::task_name(dataset.task()));
+    }
+    const long outputs = args.integer("outputs", 0);
+    if (outputs != 0 && outputs != dataset.n_outputs()) {
+      throw Error("--outputs " + std::to_string(outputs) +
+                  " disagrees with the CSV header of " + path +
+                  ", which says " + std::to_string(dataset.n_outputs()));
+    }
+    return dataset;
+  }
   if (format == "libsvm") {
     std::ifstream is(path);
     if (!is.good()) throw Error("cannot open " + path);
