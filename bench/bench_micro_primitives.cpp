@@ -98,7 +98,6 @@ struct BuilderFixtureData {
 
 void run_builder(benchmark::State& state, core::HistMethod method, bool packed) {
   auto& f = BuilderFixtureData::get();
-  auto builder = core::make_builder(method);
   sim::Device dev(sim::DeviceSpec::rtx4090());
   core::NodeHistogram hist;
   hist.resize(f.layout);
@@ -114,7 +113,7 @@ void run_builder(benchmark::State& state, core::HistMethod method, bool packed) 
   in.node_totals = f.totals;
   in.node_count = static_cast<std::uint32_t>(f.rows.size());
   for (auto _ : state) {
-    builder->build(dev, in, hist);  // re-zeroes its feature slots first
+    core::build_histogram(dev, method, in, hist);  // re-zeroes its slots first
     benchmark::DoNotOptimize(hist.sums.data());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(f.rows.size()) *

@@ -96,6 +96,14 @@ echo "check: bench_out_of_core smoke OK (budget sweep)"
 "$build/bench/bench_workloads" --rows 1200 --queries 120 --trees 8 --depth 4
 echo "check: bench_workloads smoke OK (categorical + ranking, bitwise + quality gates)"
 
+# Benchmark self-check: builds perfbench from src/ (perfbench/run.py, into
+# .bench_build/) and runs all three workloads in both modes at tiny scale. It
+# checks every fit, batch and reply bitwise and that every metric
+# BENCHMARK.json names is reported, so a change that breaks an API the
+# benchmark compiles against, or its results, fails here.
+(cd "$repo" && python3 perfbench/selfcheck.py)
+echo "check: perfbench self-check OK (all workloads, both modes, tiny scale)"
+
 # Optional ThreadSanitizer stage for the parallel block scheduler and thread
 # pool (GBMO_CHECK_TSAN=0 skips; also skipped when the toolchain can't link
 # -fsanitize=thread, e.g. missing libtsan).
@@ -123,8 +131,9 @@ fi
 # the toolchain can't link -fsanitize=address) over the checker's own tests
 # (the shadow bookkeeping plus deliberately out-of-bounds toy kernels must
 # stay memory-safe under suppression), the data/bin-pack property tests, the
-# model loader's golden and malformed-file tests, the fault-spec and CLI
-# malformed-number tests (both parse outside input), the compiled engine and
+# model loader's golden and malformed-file tests, the CSV/libsvm reader tests
+# and the fault-spec and CLI malformed-number tests (all parse outside
+# input), the compiled engine and
 # serving tests (the engine's routing loop reads the model through raw
 # pointers), the accessor, histogram, split and grower tests (the
 # builders' row compaction, the views' bulk adds and the dense histogram
@@ -140,8 +149,8 @@ if [[ "${GBMO_CHECK_ASAN:-1}" != "0" ]]; then
     cmake -B "$asan_build" -S "$repo" -DGBMO_SANITIZE=address
     cmake --build "$asan_build" -j "$(nproc)" --target gbmo_tests
     GBMO_SIM_CHECK=1 ctest --test-dir "$asan_build" --output-on-failure \
-      -R 'SimChecker|QuantizeProperties|BinPackProperties|ModelGolden|FaultPlan|CliErrors|Faults|Checkpoint|SketchBoostTest|BaselineShapes\.SketchBoostSketchSmallerThanOutputs|OutOfCore|CompiledModel|Serve|ModelServer|Registry\.|BuilderEquivalence|AdaptiveBuilder|HistogramLayoutTest|SubtractHistogramsTest|HistogramBuilders|AccessorsTest|Split|GrowerTest|LeafWise|LevelWise|HistBudget|AllSystemsTest|ProfilerRegistry|ProfilerTrace|SoBoosterTest|ObliviousTest'
-    echo "check: ASan stage OK (checker + data property + model loader + fault-spec/CLI parsing + fault-injection + out-of-core + compiled engine + serving + accessor/histogram/split/grower + growth-policy/histogram-budget + every system's profiled charge path tests under -fsanitize=address)"
+      -R 'SimChecker|QuantizeProperties|BinPackProperties|ModelGolden|IoTest|FaultPlan|CliErrors|Faults|Checkpoint|SketchBoostTest|BaselineShapes\.SketchBoostSketchSmallerThanOutputs|OutOfCore|CompiledModel|Serve|ModelServer|Registry\.|BuilderEquivalence|AdaptiveBuilder|HistogramLayoutTest|SubtractHistogramsTest|HistogramBuilders|AccessorsTest|Split|GrowerTest|LeafWise|LevelWise|HistBudget|AllSystemsTest|ProfilerRegistry|ProfilerTrace|SoBoosterTest|ObliviousTest'
+    echo "check: ASan stage OK (checker + data property + model loader + CSV/libsvm readers + fault-spec/CLI parsing + fault-injection + out-of-core + compiled engine + serving + accessor/histogram/split/grower + growth-policy/histogram-budget + every system's profiled charge path tests under -fsanitize=address)"
   else
     echo "check: ASan stage skipped (toolchain cannot link -fsanitize=address)"
   fi

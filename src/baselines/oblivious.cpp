@@ -66,7 +66,6 @@ void ObliviousBooster::fit(const data::Dataset& train) {
     }
   }
 
-  auto builder = core::make_builder(config_.hist_method);
   auto loss = core::Loss::default_for(train.task());
 
   std::vector<float> scores(n * static_cast<std::size_t>(d), 0.0f);
@@ -111,8 +110,11 @@ void ObliviousBooster::fit(const data::Dataset& train) {
       // Histograms for every node at this level.
       group.set_phase("histogram");
       std::vector<core::NodeHistogram> hists(level.size());
+      report_.peak_host_hist_bytes = std::max(
+          report_.peak_host_hist_bytes, level.size() * layout.byte_size());
       for (std::size_t i = 0; i < level.size(); ++i) {
         hists[i].resize(layout);
+        group.device(static_cast<int>(i) % devs).note_alloc(layout.byte_size());
         core::HistBuildInput in;
         in.bins = &binned;
         in.node_rows = std::span<const std::uint32_t>(row_order).subspan(
@@ -125,7 +127,8 @@ void ObliviousBooster::fit(const data::Dataset& train) {
         in.sparsity_aware = config_.sparsity_aware;
         in.node_totals = level[i].totals;
         in.node_count = level[i].end - level[i].begin;
-        builder->build(group.device(static_cast<int>(i) % devs), in, hists[i]);
+        core::build_histogram(group.device(static_cast<int>(i) % devs),
+                              config_.hist_method, in, hists[i]);
       }
       if (devs > 1) {
         // Partial histograms live on different devices: gather the level's
@@ -200,6 +203,10 @@ void ObliviousBooster::fit(const data::Dataset& train) {
         sim::charge_kernel(group.device(0), "oblivious_split", s);
       }
 
+      // The level's histograms are freed once its split is chosen.
+      for (std::size_t i = 0; i < level.size(); ++i) {
+        group.device(static_cast<int>(i) % devs).note_free(layout.byte_size());
+      }
       if (best_f < 0) break;  // no valid symmetric split: stop growing
 
       // Apply the same split to every node.

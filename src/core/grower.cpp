@@ -46,7 +46,6 @@ void GrowerContext::apply_bundling(const data::FeatureBundling& plan,
 TreeGrower::TreeGrower(sim::DeviceGroup& group, const GrowerContext& ctx)
     : group_(group),
       ctx_(ctx),
-      builder_(make_builder(ctx.config.hist_method)),
       row_partitioned_(group.size() > 1 && ctx.config.multi_gpu !=
                                                MultiGpuMode::kFeatureParallel) {
   GBMO_CHECK(group.size() == std::max(1, ctx.config.n_devices));
@@ -199,10 +198,10 @@ void TreeGrower::build_node_histogram(const ActiveNode& node, NodeHistogram& out
   const auto build = [&](sim::Device& dev, const HistBuildInput& cin,
                          NodeHistogram& dst) {
     if (!bundled) {
-      builder_->build(dev, cin, dst);
+      build_histogram(dev, cfg.hist_method, cin, dst);
       return;
     }
-    builder_->build(dev, cin, bundle_scratch_);
+    build_histogram(dev, cfg.hist_method, cin, bundle_scratch_);
     expand_bundled_histogram(dev, *ctx_.bundling, ctx_.bundle_layout,
                              ctx_.layout, cin.features, bundle_scratch_,
                              cin.node_totals, cin.node_count, dst);
@@ -273,7 +272,7 @@ void TreeGrower::build_node_histogram(const ActiveNode& node, NodeHistogram& out
     }
   }
   // Canonical functional build on the ghost (same spec as the real devices,
-  // so the adaptive builder makes identical choices; its charges stay off
+  // so the adaptive selector makes identical choices; its charges stay off
   // the group's books and the profiler).
   GBMO_CHECK(ghost_ != nullptr) << "row-partitioned build without a ghost";
   HistBuildInput ghost_in = in;

@@ -21,7 +21,7 @@
 // larger child takes its parent's histogram and subtracts the smaller
 // child from it, so the host holds one histogram per active node. Released
 // histograms go to a free list that later levels and trees reuse without
-// zero-filling: every builder re-zeroes the slots it accumulates into, a
+// zero-filling: every build re-zeroes the slots it accumulates into, a
 // subtraction rewrites the feature view its parent's build wrote, and split
 // search reads only the tree's feature view, so stale slots outside it are
 // never read.
@@ -115,10 +115,6 @@ class TreeGrower {
   GrownTree grow(std::span<const float> g, std::span<const float> h,
                  std::span<const std::uint32_t> sampled_rows = {},
                  std::span<const std::uint32_t> sampled_features = {});
-
-  // Name of the histogram strategy chosen for the most recent build
-  // (reporting/ablation).
-  const HistogramBuilder& builder() const { return *builder_; }
 
   // The one partition rule: contiguous column chunks (of features, or under
   // EFB of bundles with their member features) and even row shards over the
@@ -259,7 +255,6 @@ class TreeGrower {
 
   sim::DeviceGroup& group_;
   const GrowerContext& ctx_;
-  std::unique_ptr<HistogramBuilder> builder_;
   // Data- or voting-parallel on more than one device: every device holds
   // every column and builds over its own row shard. Otherwise the columns
   // are partitioned (feature-parallel, or a single device).
@@ -269,7 +264,7 @@ class TreeGrower {
   // order, while the real devices build per-shard partials for the cost
   // model only ("functional canonical, cost modeled" — the same doctrine
   // that makes paging and EFB bitwise-neutral). Same spec as the group's
-  // devices so the adaptive builder picks identical strategies; no sink, so
+  // devices so the adaptive selector picks identical strategies; no sink, so
   // its charges never reach the profiler or the group's modeled time.
   std::unique_ptr<sim::Device> ghost_;
   // Scratch for the per-device partial builds (cost path; contents feed only

@@ -1,4 +1,5 @@
-// Internal helpers shared by the histogram builder implementations.
+// Internal pieces of the histogram build (build_histogram, histogram.cpp):
+// the strategies it dispatches to and the helpers they share.
 //
 // Memory-accounting conventions (see DESIGN.md and sim/cost_model.h):
 //  - node row-id reads are coalesced;
@@ -11,19 +12,16 @@
 //    operation is charged per element; a same-bin collision serializes the
 //    whole d-wide update, so collision counts are scaled by d.
 //
-// Host loop: every builder's block first runs compact_rows, one
+// Host loop: every strategy's block first runs compact_rows, one
 // branch-free pass that fetches each row's bin and keeps the (row, bin)
 // pairs that accumulate; it then walks only the kept pairs, in row order, so
 // the conflict tracker sees the same slot sequence as a per-element loop.
-// The kept list, tiles and tile counts live in per-thread BlockScratch that
-// every block reuses; none of it is simulated memory. The tiles obey the
-// tile rule (see TileLease): all-zero between blocks, so a block zeroes only
-// the bins it touched, after its flush.
+// The kept list, tiles and run buffers live in per-thread BlockScratch that
+// every block reuses; none of it is simulated memory.
 #pragma once
 
 #include <algorithm>
 #include <cstdint>
-#include <exception>
 #include <span>
 #include <vector>
 
@@ -32,31 +30,7 @@
 
 namespace gbmo::core::detail {
 
-// Per-block tally accumulated in registers and folded into KernelStats once,
-// keeping the functional inner loop tight.
-struct BuildTally {
-  std::uint64_t elements = 0;       // (row, feature) pairs processed
-  std::uint64_t nonzero = 0;        // elements that accumulated
-  std::uint64_t conflict_hits = 0;  // same-bin collisions (unscaled)
-
-  void fold_common(sim::KernelStats& s, int d, bool packed,
-                   bool csc_indirection = false) const {
-    // Row-id reads: coalesced u32 stream.
-    s.gmem_coalesced_bytes += elements * sizeof(std::uint32_t);
-    // Bin fetches.
-    s.gmem_random_accesses += packed ? (elements + 3) / 4 : elements;
-    if (packed) s.flops += elements;  // shift/mask unpack
-    // CSC storage adds scattered row-index + value + node-position lookups
-    // per stored nonzero (§3.2's "higher overhead when locating attribute
-    // values") — the reason mo-sp trails mo-fu on dense-leaning data.
-    if (csc_indirection) s.gmem_random_accesses += nonzero * 6;
-    // Gradient row bursts.
-    s.gmem_random_accesses += nonzero;
-    s.gmem_coalesced_bytes += nonzero * static_cast<std::uint64_t>(d) * 2 * sizeof(float);
-  }
-};
-
-// Restage helper: builders accumulate into `out`, which may be a histogram
+// Restage helper: a build accumulates into `out`, which may be a histogram
 // reused from the grower's free list, so zeroing this call's feature slots
 // before the launch is what makes the build bit-identical to one into fresh
 // storage. Touches only `in.features` — other devices' feature slices of a
@@ -76,9 +50,9 @@ inline void restage_feature_slots(const HistBuildInput& in, NodeHistogram& out) 
 // Host storage a block works in: what a real block keeps in registers and
 // shared memory. One instance per host thread, reused by every block that
 // thread runs. Every routine sizes each member it writes, and no member
-// serves two purposes. The tiles are taken only through TileLease, which
-// keeps them all-zero between blocks; every other member is written before
-// it is read.
+// serves two purposes. The tiles are taken only through the tiled kernel's
+// TileLease (hist_tiled.cpp), which keeps them all-zero between blocks;
+// every other member is written before it is read.
 struct BlockScratch {
   std::vector<sim::GradPair> tile;         // smem/gmem: d-wide sums per bin
   std::vector<std::uint32_t> tile_counts;  // smem/gmem: rows per bin
@@ -93,47 +67,6 @@ inline BlockScratch& block_scratch() {
   thread_local BlockScratch scratch;
   return scratch;
 }
-
-// One block's zeroed tile of `n_bins` bins, d outputs wide: exactly the
-// first n_bins * d slots of the thread's tile and n_bins of its counts.
-// The tile rule: between blocks, every slot of BlockScratch::tile and
-// tile_counts is zero, so the lease only grows them (new slots start zero).
-// A block may write only bins whose count it raises; when the lease ends,
-// after the flush, it re-zeroes just those bins. If the block is unwinding
-// instead, a bin may hold sums without a count yet, so the lease re-zeroes
-// the whole tile.
-class TileLease {
- public:
-  TileLease(BlockScratch& scratch, std::size_t n_bins, std::size_t d)
-      : d_(d), exceptions_(std::uncaught_exceptions()) {
-    if (scratch.tile.size() < n_bins * d) scratch.tile.resize(n_bins * d);
-    if (scratch.tile_counts.size() < n_bins) scratch.tile_counts.resize(n_bins);
-    sums = {scratch.tile.data(), n_bins * d};
-    counts = {scratch.tile_counts.data(), n_bins};
-  }
-  TileLease(const TileLease&) = delete;
-  TileLease& operator=(const TileLease&) = delete;
-  ~TileLease() {
-    if (std::uncaught_exceptions() > exceptions_) {
-      std::fill(sums.begin(), sums.end(), sim::GradPair{});
-      std::fill(counts.begin(), counts.end(), 0u);
-      return;
-    }
-    for (std::size_t t = 0; t < counts.size(); ++t) {
-      if (counts[t] == 0) continue;
-      std::fill_n(sums.begin() + static_cast<std::ptrdiff_t>(t * d_), d_,
-                  sim::GradPair{});
-      counts[t] = 0;
-    }
-  }
-
-  std::span<sim::GradPair> sums;
-  std::span<std::uint32_t> counts;
-
- private:
-  std::size_t d_;
-  int exceptions_;
-};
 
 // Fetches feature f's bin for node rows [row_lo, row_hi) and keeps, in row
 // order, the rows whose bin lies in [bin_lo, bin_lo + n_tile_bins) and is
@@ -176,5 +109,13 @@ inline std::size_t compact_rows(const HistBuildInput& in, std::uint32_t f,
   }
   return kept;
 }
+
+// The strategies behind build_histogram. Each accumulates `in.features`
+// into slots build_histogram has already zeroed; it reconstructs the zero
+// bins afterwards. build_tiled runs kGlobal (§3.3.2) or kShared (§3.3.3).
+void build_tiled(sim::Device& dev, HistMethod method, const HistBuildInput& in,
+                 NodeHistogram& out);
+void build_sort_reduce(sim::Device& dev, const HistBuildInput& in,
+                       NodeHistogram& out);
 
 }  // namespace gbmo::core::detail

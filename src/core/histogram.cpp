@@ -1,8 +1,10 @@
 #include "core/histogram.h"
 
 #include <algorithm>
+#include <cmath>
 
 #include "common/error.h"
+#include "core/hist_common.h"
 #include "sim/cost_model.h"
 #include "sim/launch.h"
 
@@ -49,18 +51,80 @@ const char* hist_method_name(HistMethod m) {
   return "?";
 }
 
-std::unique_ptr<HistogramBuilder> make_builder(HistMethod method) {
-  switch (method) {
-    case HistMethod::kAuto:
-      return make_adaptive_builder();
-    case HistMethod::kGlobal:
-      return make_global_builder();
-    case HistMethod::kShared:
-      return make_shared_builder();
-    case HistMethod::kSortReduce:
-      return make_sort_reduce_builder();
+namespace {
+
+// Adaptive strategy selection (§3.3, "dynamically selects the most
+// appropriate histogram building method based on the dataset
+// characteristics and training stage"). It estimates, from the node's shape,
+// the two cost terms that actually separate the strategies:
+//   - gmem pays atomic serialization: collisions scale with the node's
+//     instances-per-occupied-bin density and with the output dimension d
+//     (a collision serializes a d-wide vector update);
+//   - smem converts those into cheap shared-memory collisions but pays
+//     #passes extra bin reads (the histogram slice is tiled when
+//     n_bins * d exceeds the shared-memory budget) plus a per-block flush.
+// Sort-and-reduce is only competitive when the histogram is so contended
+// that even shared-memory tiles thrash — with 256-bin quantization this
+// effectively never happens (Figure 6a shows it always slowest), but the
+// selector keeps the guard for tiny-bin configurations.
+//
+// "Training stage" enters through the node size: deep levels have small
+// nodes, where tile-flush overhead dominates and gmem wins regardless of d.
+HistMethod select_hist_method(const sim::Device& dev, const HistBuildInput& in) {
+  const auto& layout = *in.layout;
+  const int d = layout.n_outputs();
+  const double n_node = static_cast<double>(in.node_rows.size());
+  if (n_node == 0) return HistMethod::kGlobal;
+
+  // Average bins per feature; occupied bins cap at the node size.
+  double avg_bins = 0.0;
+  for (std::uint32_t f : in.features) avg_bins += layout.n_bins(f);
+  avg_bins /= static_cast<double>(in.features.size());  // never empty here
+  const double occupied = std::min(n_node, std::max(1.0, avg_bins));
+
+  // Expected same-bin collisions within the hardware's coalescing window
+  // (~16 in-flight atomics), scaled by the serialized d-wide update.
+  const double window = 16.0;
+  const double collision_rate = std::min(1.0, window / occupied);
+  const double gmem_penalty =
+      n_node * collision_rate * static_cast<double>(d) *
+      dev.spec().atomic_serialization_s;
+
+  // smem extra cost: re-reading bins once per tile pass + flushing tiles.
+  const std::size_t tile_slots =
+      dev.spec().shared_mem_per_block / sizeof(sim::GradPair);
+  const double passes =
+      std::ceil(avg_bins * static_cast<double>(d) / static_cast<double>(tile_slots));
+  const double bin_read_s = 32.0 / dev.spec().mem_bandwidth;
+  const double flush_s = (avg_bins * d * 2.0 * sizeof(sim::GradPair)) /
+                         dev.spec().mem_bandwidth;
+  const double smem_penalty = (passes - 1.0) * n_node * bin_read_s +
+                              passes * flush_s +
+                              n_node * collision_rate * static_cast<double>(d) *
+                                  dev.spec().atomic_serialization_s * 0.15;
+
+  // Sort-and-reduce guard: only when both atomic paths are projected to
+  // serialize heavily (sub-16-bin quantization with huge nodes).
+  if (occupied < 8.0 && n_node > 1e5) return HistMethod::kSortReduce;
+  return smem_penalty < gmem_penalty ? HistMethod::kShared : HistMethod::kGlobal;
+}
+
+}  // namespace
+
+void build_histogram(sim::Device& dev, HistMethod method,
+                     const HistBuildInput& in, NodeHistogram& out) {
+  if (in.features.empty()) return;
+  if (in.packed) {
+    GBMO_CHECK(in.bins->packed());
   }
-  return make_adaptive_builder();
+  if (method == HistMethod::kAuto) method = select_hist_method(dev, in);
+  detail::restage_feature_slots(in, out);
+  if (method == HistMethod::kSortReduce) {
+    detail::build_sort_reduce(dev, in, out);
+  } else {
+    detail::build_tiled(dev, method, in, out);
+  }
+  reconstruct_zero_bins(in, out);
 }
 
 void reconstruct_zero_bins(const HistBuildInput& in, NodeHistogram& out) {

@@ -1,4 +1,4 @@
-// Histogram data structures and the builder strategy interface (§3.3).
+// Histogram data structures and the one histogram build entry (§3.3).
 //
 // A node's histogram stores, for every (feature, bin, output) triple, the
 // sums of g and h over the node's instances whose feature value falls in the
@@ -18,7 +18,6 @@
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
@@ -85,7 +84,7 @@ struct NodeHistogram {
   }
 };
 
-// Everything a builder needs to accumulate one node's histogram.
+// Everything a build needs to accumulate one node's histogram.
 struct HistBuildInput {
   const data::BinnedMatrix* bins = nullptr;
   std::span<const std::uint32_t> node_rows;  // instance ids in the node
@@ -100,29 +99,18 @@ struct HistBuildInput {
   std::uint32_t node_count = 0;
 };
 
-class HistogramBuilder {
- public:
-  virtual ~HistogramBuilder() = default;
-  virtual const char* name() const = 0;
-  // Builds the histogram of `in.features` into `out`, which must be sized
-  // for the layout. Those slots are re-zeroed before accumulation, so their
-  // previous contents never matter; other slots are left untouched.
-  virtual void build(sim::Device& dev, const HistBuildInput& in,
-                     NodeHistogram& out) = 0;
-};
+// Builds the histogram of `in.features` into `out`, which must be sized for
+// the layout, with `method` (§3.3; kAuto picks one per call from the node
+// size, the histogram footprint vs shared memory and the expected atomic
+// contention). Those slots are re-zeroed before accumulation, so their
+// previous contents never matter; other slots are left untouched. An empty
+// feature list builds nothing and charges nothing.
+void build_histogram(sim::Device& dev, HistMethod method,
+                     const HistBuildInput& in, NodeHistogram& out);
 
-std::unique_ptr<HistogramBuilder> make_global_builder();
-std::unique_ptr<HistogramBuilder> make_shared_builder();
-std::unique_ptr<HistogramBuilder> make_sort_reduce_builder();
-// Adaptive (§3.3): picks one of the three per call from the node size, the
-// histogram footprint vs shared memory, and the expected atomic contention.
-std::unique_ptr<HistogramBuilder> make_adaptive_builder();
-
-std::unique_ptr<HistogramBuilder> make_builder(HistMethod method);
-
-// Shared by all builders: reconstructs the zero bin of every requested
-// feature as node_totals − Σ(non-zero bins), and the zero-bin count as
-// node_count − Σ(non-zero bin counts).
+// Reconstructs the zero bin of every requested feature as node_totals −
+// Σ(non-zero bins), and the zero-bin count as node_count − Σ(non-zero bin
+// counts).
 void reconstruct_zero_bins(const HistBuildInput& in, NodeHistogram& out);
 
 // Sibling subtraction in place (DESIGN.md §4): turns `parent` into the

@@ -195,15 +195,4 @@ std::vector<SplitResult> find_best_splits(
   return results;
 }
 
-SplitResult find_best_split(sim::Device& dev, const HistogramLayout& layout,
-                            const NodeHistogram& hist,
-                            std::span<const sim::GradPair> totals,
-                            std::uint32_t node_count,
-                            std::span<const std::uint32_t> features,
-                            const TrainConfig& config, SplitScratch& scratch) {
-  // Single-node convenience wrapper over the batched path.
-  NodeSplitInput input{&hist, totals, node_count};
-  return find_best_splits(dev, layout, {&input, 1}, features, config, scratch)[0];
-}
-
 }  // namespace gbmo::core

@@ -43,21 +43,14 @@ struct SplitScratch {
   std::vector<sim::ArgMax> per_feature_best;
 };
 
-// Finds the best split of one node over the given feature subset.
-// `hist` is the node's complete histogram (zero bins already reconstructed);
-// `totals` are the node's d gradient sums.
-SplitResult find_best_split(sim::Device& dev, const HistogramLayout& layout,
-                            const NodeHistogram& hist,
-                            std::span<const sim::GradPair> totals,
-                            std::uint32_t node_count,
-                            std::span<const std::uint32_t> features,
-                            const TrainConfig& config, SplitScratch& scratch);
-
-// Level-batched split finding (§3.1.3: "segmented reduction enables parallel
-// gain comparison across multiple feature-node pairs, where each pair forms
-// a segment"): all nodes of a level share one scan, one gain kernel and one
-// segmented reduction, amortizing launch overhead — this is why the paper's
-// per-node mapping is a *segment*, not a kernel.
+// Finds the best split of each node over the given feature subset. A node's
+// `hist` is its complete histogram (zero bins already reconstructed);
+// `totals` are its d gradient sums. Level-batched (§3.1.3: "segmented
+// reduction enables parallel gain comparison across multiple feature-node
+// pairs, where each pair forms a segment"): all nodes of a level share one
+// scan, one gain kernel and one segmented reduction, amortizing launch
+// overhead — this is why the paper's per-node mapping is a *segment*, not a
+// kernel.
 struct NodeSplitInput {
   const NodeHistogram* hist = nullptr;
   std::span<const sim::GradPair> totals;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <fstream>
 #include <sstream>
+#include <unordered_set>
 
 #include "common/error.h"
 #include "common/parse.h"
@@ -26,18 +27,65 @@ bool next_line(std::istream& is, std::string& line) {
   return true;
 }
 
-// Parses one whole token of a data file; a failure names the file format,
-// the 1-based line and the 1-based column (CSV cell or libsvm field).
+// Every rejection of a data file names the file format, the 1-based line
+// and the 1-based column (CSV cell or whitespace-separated libsvm field).
+[[noreturn]] void fail_at(const char* format, std::size_t line,
+                          std::size_t column, const std::string& what) {
+  throw Error(std::string(format) + " line " + std::to_string(line) +
+              ", column " + std::to_string(column) + ": " + what);
+}
+
+// Parses one whole token of a data file.
 template <typename T>
 T parse_cell(const std::string& token, const char* format, std::size_t line,
              std::size_t column) {
   try {
     return parse_number<T>(token, "value");
   } catch (const Error& e) {
-    throw Error(std::string(format) + " line " + std::to_string(line) +
-                ", column " + std::to_string(column) + ": " + e.what());
+    fail_at(format, line, column, e.what());
   }
 }
+
+// A label id (a class, or one of a multilabel row's active outputs) lies in
+// [0, n_outputs).
+int parse_label_id(const std::string& token, int n_outputs, const char* format,
+                   std::size_t line, std::size_t column) {
+  const int id = parse_cell<int>(token, format, line, column);
+  if (id < 0 || id >= n_outputs) {
+    fail_at(format, line, column,
+            "label id " + token + " is outside [0, " +
+                std::to_string(n_outputs) + ")");
+  }
+  return id;
+}
+
+// Ranking labels: a relevance grade is >= 0, and a query's rows are
+// contiguous, so a query id may not come back once another one followed it.
+struct RankingLabels {
+  std::vector<float> relevance;
+  std::vector<std::uint32_t> query_ids;
+  std::unordered_set<std::uint32_t> closed;
+
+  void add(const std::string& qid, std::size_t qid_column,
+           const std::string& rel, std::size_t rel_column, const char* format,
+           std::size_t line) {
+    const auto q = parse_cell<std::uint32_t>(qid, format, line, qid_column);
+    if (!query_ids.empty() && query_ids.back() != q) {
+      closed.insert(query_ids.back());
+      if (closed.count(q) != 0) {
+        fail_at(format, line, qid_column,
+                "query id " + qid + " is not contiguous");
+      }
+    }
+    const auto r = parse_cell<float>(rel, format, line, rel_column);
+    if (!(r >= 0.0f)) {
+      fail_at(format, line, rel_column,
+              "relevance grade '" + rel + "' is not >= 0");
+    }
+    query_ids.push_back(q);
+    relevance.push_back(r);
+  }
+};
 
 }  // namespace
 
@@ -75,10 +123,14 @@ Dataset read_csv(std::istream& is, std::size_t n_features) {
   std::string line;
   GBMO_CHECK(next_line(is, line)) << "empty CSV";
   const auto header = split_line(line, ',');
-  GBMO_CHECK(header.size() == 3 && header[0] == "task") << "bad CSV header";
+  if (header.size() != 3 || header[0] != "task") {
+    fail_at("CSV", 1, 1, "the header is not task,<task>,<outputs>");
+  }
   const TaskKind task = parse_task(header[1]);
   const int n_outputs = parse_cell<int>(header[2], "CSV", 1, 3);
-  GBMO_CHECK(n_outputs >= 1) << "CSV header has " << n_outputs << " outputs";
+  if (n_outputs < 1) {
+    fail_at("CSV", 1, 3, "the header has " + header[2] + " outputs");
+  }
   const std::size_t label_cells =
       task == TaskKind::kMulticlass ? 1
       : task == TaskKind::kRanking  ? 2  // query id + relevance
@@ -88,7 +140,7 @@ Dataset read_csv(std::istream& is, std::size_t n_features) {
   std::vector<std::int32_t> class_ids;
   std::vector<std::uint8_t> indicators;
   std::vector<float> targets;
-  std::vector<std::uint32_t> query_ids;
+  RankingLabels ranking;
   std::size_t n = 0;
   std::size_t line_no = 1;
   while (next_line(is, line)) {
@@ -108,13 +160,17 @@ Dataset read_csv(std::istream& is, std::size_t n_features) {
     }
     switch (task) {
       case TaskKind::kMulticlass:
-        class_ids.push_back(parse_cell<std::int32_t>(
-            cells[n_features], "CSV", line_no, n_features + 1));
+        class_ids.push_back(parse_label_id(cells[n_features], n_outputs, "CSV",
+                                           line_no, n_features + 1));
         break;
       case TaskKind::kMultilabel:
         for (std::size_t c = n_features; c < cells.size(); ++c) {
-          indicators.push_back(
-              parse_cell<std::uint8_t>(cells[c], "CSV", line_no, c + 1));
+          const auto v = parse_cell<std::uint8_t>(cells[c], "CSV", line_no, c + 1);
+          if (v > 1) {
+            fail_at("CSV", line_no, c + 1,
+                    "label indicator '" + cells[c] + "' is not 0 or 1");
+          }
+          indicators.push_back(v);
         }
         break;
       case TaskKind::kMultiregression:
@@ -123,10 +179,8 @@ Dataset read_csv(std::istream& is, std::size_t n_features) {
         }
         break;
       case TaskKind::kRanking:
-        query_ids.push_back(parse_cell<std::uint32_t>(
-            cells[n_features], "CSV", line_no, n_features + 1));
-        targets.push_back(parse_cell<float>(cells[n_features + 1], "CSV",
-                                            line_no, n_features + 2));
+        ranking.add(cells[n_features], n_features + 1, cells[n_features + 1],
+                    n_features + 2, "CSV", line_no);
         break;
     }
     ++n;
@@ -147,7 +201,8 @@ Dataset read_csv(std::istream& is, std::size_t n_features) {
       d.y = Labels::multiregression(std::move(targets), n, n_outputs);
       break;
     case TaskKind::kRanking:
-      d.y = Labels::ranking(std::move(targets), std::move(query_ids));
+      d.y = Labels::ranking(std::move(ranking.relevance),
+                            std::move(ranking.query_ids));
       break;
   }
   return d;
@@ -214,7 +269,7 @@ Dataset read_libsvm(std::istream& is, std::size_t n_features, TaskKind task,
   std::vector<std::int32_t> class_ids;
   std::vector<std::uint8_t> indicators;
   std::vector<float> targets;
-  std::vector<std::uint32_t> query_ids;
+  RankingLabels ranking;
 
   std::string line;
   std::size_t line_no = 0;
@@ -229,8 +284,7 @@ Dataset read_libsvm(std::istream& is, std::size_t n_features, TaskKind task,
       // write_libsvm leaves the label field of a multilabel row with no
       // active labels empty, so its first token is already a feature pair.
       if (task != TaskKind::kMultilabel) {
-        throw Error("libsvm line " + std::to_string(line_no) +
-                    " has no label field");
+        fail_at("libsvm", line_no, 1, "no label field");
       }
       label_field.clear();
       ls.clear();
@@ -240,16 +294,15 @@ Dataset read_libsvm(std::istream& is, std::size_t n_features, TaskKind task,
     switch (task) {
       case TaskKind::kMulticlass:
         class_ids.push_back(
-            parse_cell<std::int32_t>(label_field, "libsvm", line_no, 1));
+            parse_label_id(label_field, n_outputs, "libsvm", line_no, 1));
         break;
       case TaskKind::kMultilabel: {
         std::vector<std::uint8_t> ind(static_cast<std::size_t>(n_outputs), 0);
         if (!label_field.empty()) {
           for (const auto& tok : split_line(label_field, ',')) {
             if (tok.empty()) continue;
-            const int k = parse_cell<int>(tok, "libsvm", line_no, 1);
-            GBMO_CHECK(k >= 0 && k < n_outputs);
-            ind[static_cast<std::size_t>(k)] = 1;
+            ind[static_cast<std::size_t>(
+                parse_label_id(tok, n_outputs, "libsvm", line_no, 1))] = 1;
           }
         }
         indicators.insert(indicators.end(), ind.begin(), ind.end());
@@ -257,7 +310,11 @@ Dataset read_libsvm(std::istream& is, std::size_t n_features, TaskKind task,
       }
       case TaskKind::kMultiregression: {
         const auto toks = split_line(label_field, ',');
-        GBMO_CHECK(toks.size() == static_cast<std::size_t>(n_outputs));
+        if (toks.size() != static_cast<std::size_t>(n_outputs)) {
+          fail_at("libsvm", line_no, 1,
+                  "expected " + std::to_string(n_outputs) + " targets, got " +
+                      std::to_string(toks.size()));
+        }
         for (const auto& tok : toks) {
           targets.push_back(parse_cell<float>(tok, "libsvm", line_no, 1));
         }
@@ -265,10 +322,11 @@ Dataset read_libsvm(std::istream& is, std::size_t n_features, TaskKind task,
       }
       case TaskKind::kRanking: {
         const auto toks = split_line(label_field, ',');
-        GBMO_CHECK(toks.size() == 2) << "ranking label must be qid,rel";
-        query_ids.push_back(
-            parse_cell<std::uint32_t>(toks[0], "libsvm", line_no, 1));
-        targets.push_back(parse_cell<float>(toks[1], "libsvm", line_no, 1));
+        if (toks.size() != 2) {
+          fail_at("libsvm", line_no, 1,
+                  "ranking label '" + label_field + "' is not qid,rel");
+        }
+        ranking.add(toks[0], 1, toks[1], 1, "libsvm", line_no);
         break;
       }
     }
@@ -276,10 +334,16 @@ Dataset read_libsvm(std::istream& is, std::size_t n_features, TaskKind task,
     std::string kv;
     for (; ls >> kv; ++column) {
       const auto colon = kv.find(':');
-      GBMO_CHECK(colon != std::string::npos) << "bad libsvm pair: " << kv;
+      if (colon == std::string::npos) {
+        fail_at("libsvm", line_no, column, "'" + kv + "' is not index:value");
+      }
       const auto f = parse_cell<std::uint32_t>(kv.substr(0, colon), "libsvm",
                                                line_no, column);
-      GBMO_CHECK(f < n_features) << "feature index out of range: " << f;
+      if (f >= n_features) {
+        fail_at("libsvm", line_no, column,
+                "feature index " + std::to_string(f) + " is past the " +
+                    std::to_string(n_features) + " features");
+      }
       row.emplace_back(f, parse_cell<float>(kv.substr(colon + 1), "libsvm",
                                             line_no, column));
     }
@@ -304,7 +368,8 @@ Dataset read_libsvm(std::istream& is, std::size_t n_features, TaskKind task,
       d.y = Labels::multiregression(std::move(targets), n, n_outputs);
       break;
     case TaskKind::kRanking:
-      d.y = Labels::ranking(std::move(targets), std::move(query_ids));
+      d.y = Labels::ranking(std::move(ranking.relevance),
+                            std::move(ranking.query_ids));
       break;
   }
   return d;

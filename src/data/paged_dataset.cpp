@@ -55,14 +55,13 @@ const char* BlockCache::kLedgerAccount = "block_cache";
 BlockCache::BlockCache(sim::Device& dev, const PagedDataset& paged,
                        std::size_t budget_bytes)
     : dev_(dev), paged_(paged), budget_(budget_bytes) {
-  dev_.ledger_set_budget(kLedgerAccount, budget_);
   chunk_set_.assign(paged_.n_chunks(), 0);
 }
 
 BlockCache::~BlockCache() {
   // Return the resident bytes to the device so a cache's lifetime does not
   // leak into later allocations on the same device.
-  if (used_ > 0) dev_.ledger_release(kLedgerAccount, used_);
+  if (used_ > 0) dev_.note_free(used_);
 }
 
 void BlockCache::stage_feature(std::size_t f,
@@ -126,20 +125,24 @@ void BlockCache::stage_one(Key key, std::size_t bytes) {
           break;
         }
       }
-      if (!found) break;  // everything left is pinned: let the ledger fail
+      if (!found) break;  // everything left is pinned: the budget check fails
       const auto vit = map_.find(*victim);
       used_ -= vit->second.bytes;
-      dev_.ledger_release(kLedgerAccount, vit->second.bytes);
+      dev_.note_free(vit->second.bytes);
       ++stats_.evictions;
       lru_.erase(vit->second.lru_it);
       map_.erase(vit);
     }
   }
-  // Charge residency first (hard-fails with DeviceBudgetExceeded if the
-  // pinned working set alone cannot fit), then model the PCIe transfer. The
-  // cache state below is only written after the transfer succeeds, so a
-  // transfer that throws (device loss, spent retry budget) leaves no trace.
-  dev_.ledger_charge(kLedgerAccount, bytes);
+  // Book residency first — a hard DeviceBudgetExceeded, before anything
+  // changes, if the pinned working set alone cannot fit; note_alloc still
+  // enforces the device's capacity — then model the PCIe transfer. The cache
+  // state below is only written after the transfer succeeds, so a transfer
+  // that throws (device loss, spent retry budget) leaves no trace.
+  if (budget_ != 0 && used_ + bytes > budget_) {
+    throw sim::DeviceBudgetExceeded(kLedgerAccount, bytes, used_, budget_);
+  }
+  dev_.note_alloc(bytes);
   charge_transfer(bytes);
   used_ += bytes;
   lru_.push_front(key);
@@ -163,9 +166,9 @@ void BlockCache::charge_transfer(std::size_t bytes) {
   try {
     sim::fault_gate(dev_, "block_h2d", 1);
   } catch (...) {
-    // The tile never became resident: undo the residency charge so failover
-    // paths see a consistent ledger.
-    dev_.ledger_release(kLedgerAccount, bytes);
+    // The tile never became resident: undo the residency booking so
+    // failover paths see consistent device memory.
+    dev_.note_free(bytes);
     throw;
   }
   sim::KernelStats s;

@@ -7,9 +7,9 @@
 // identical at any cache budget by construction), while the cache tracks
 // which tiles are device-resident, charges every host->device tile transfer
 // to the cost model (phase "page", kernel "block_h2d", bytes on the PCIe
-// link), and accounts residency in the device's memory ledger under the
-// "block_cache" account — whose budget hard-fails (sim::DeviceBudgetExceeded)
-// when the pinned working set alone cannot fit.
+// link), and books residency as device memory (note_alloc/note_free). Its
+// budget hard-fails (sim::DeviceBudgetExceeded) when the pinned working set
+// alone cannot fit.
 //
 // Eviction is LRU over unpinned tiles. Tiles being staged for the current
 // node/feature are pinned for the duration of the stage call, so a budget of
@@ -91,7 +91,7 @@ struct BlockCacheStats {
 class BlockCache {
  public:
   // budget_bytes == 0 -> unbounded (tiles still transfer once and stay
-  // resident; the ledger account has no budget).
+  // resident; only the device's capacity bounds them).
   BlockCache(sim::Device& dev, const PagedDataset& paged,
              std::size_t budget_bytes);
   ~BlockCache();
@@ -113,7 +113,7 @@ class BlockCache {
   const BlockCacheStats& stats() const { return stats_; }
   std::size_t budget_bytes() const { return budget_; }
 
-  // Ledger account name used on the device.
+  // The account DeviceBudgetExceeded names.
   static const char* kLedgerAccount;
 
  private:

@@ -90,7 +90,6 @@ class BinnedMatrix {
     GBMO_DCHECK(packed() && c < n_cols_);
     return {packed_.data() + c * words_per_col_, words_per_col_};
   }
-  std::size_t words_per_col() const { return words_per_col_; }
 
   std::size_t byte_size() const {
     return bins_.size() + packed_.size() * sizeof(std::uint32_t);

@@ -100,54 +100,6 @@ void Device::note_free(std::size_t bytes) {
   allocated_ = bytes > allocated_ ? 0 : allocated_ - bytes;
 }
 
-void Device::ledger_set_budget(const std::string& account,
-                               std::size_t budget_bytes) {
-  std::lock_guard<std::mutex> lock(mu_);
-  ledger_[account].budget = budget_bytes;
-}
-
-void Device::ledger_charge(const std::string& account, std::size_t bytes) {
-  std::lock_guard<std::mutex> lock(mu_);
-  LedgerAccount& acct = ledger_[account];
-  if (acct.budget != 0 && acct.bytes + bytes > acct.budget) {
-    throw DeviceBudgetExceeded(account, bytes, acct.bytes, acct.budget);
-  }
-  // A ledger charge is real device memory: it also counts against physical
-  // capacity (inlined note_alloc body; we already hold mu_).
-  if (!fits(bytes)) {
-    throw OutOfDeviceMemory(bytes, allocated_, spec_.memory_bytes);
-  }
-  allocated_ += bytes;
-  peak_allocated_ = std::max(peak_allocated_, allocated_);
-  acct.bytes += bytes;
-  acct.peak = std::max(acct.peak, acct.bytes);
-}
-
-void Device::ledger_release(const std::string& account, std::size_t bytes) {
-  std::lock_guard<std::mutex> lock(mu_);
-  LedgerAccount& acct = ledger_[account];
-  acct.bytes = bytes > acct.bytes ? 0 : acct.bytes - bytes;
-  allocated_ = bytes > allocated_ ? 0 : allocated_ - bytes;
-}
-
-std::size_t Device::ledger_bytes(const std::string& account) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = ledger_.find(account);
-  return it == ledger_.end() ? 0 : it->second.bytes;
-}
-
-std::size_t Device::ledger_peak(const std::string& account) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = ledger_.find(account);
-  return it == ledger_.end() ? 0 : it->second.peak;
-}
-
-std::size_t Device::ledger_budget(const std::string& account) const {
-  std::lock_guard<std::mutex> lock(mu_);
-  const auto it = ledger_.find(account);
-  return it == ledger_.end() ? 0 : it->second.budget;
-}
-
 namespace {
 std::string oom_message(std::size_t requested, std::size_t allocated,
                         std::size_t capacity) {

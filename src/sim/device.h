@@ -105,8 +105,9 @@ class Device {
 
   // --- memory accounting ---------------------------------------------------
   // Callers report their device allocations (the booster's resident
-  // arrays, the grower's node histograms); exceeding the spec's capacity
-  // throws sim::OutOfDeviceMemory from note_alloc.
+  // arrays, the grower's node histograms, the block cache's tiles);
+  // exceeding the spec's capacity throws sim::OutOfDeviceMemory from
+  // note_alloc.
   void note_alloc(std::size_t bytes);
   void note_free(std::size_t bytes);
   std::size_t allocated_bytes() const { return allocated_; }
@@ -115,27 +116,7 @@ class Device {
     return allocated_ + additional_bytes <= spec_.memory_bytes;
   }
 
-  // --- memory ledger --------------------------------------------------------
-  // Named accounts with optional per-account budgets, layered on top of the
-  // plain allocated/peak totals (a ledger charge also counts against device
-  // capacity). A charge that would push an account past its budget throws
-  // DeviceBudgetExceeded *before* any state changes, so callers can rely on
-  // the ledger never silently overrunning a bound (the block cache in
-  // data/paged_dataset.h uses this as its hard-fail).
-  void ledger_set_budget(const std::string& account, std::size_t budget_bytes);
-  void ledger_charge(const std::string& account, std::size_t bytes);
-  void ledger_release(const std::string& account, std::size_t bytes);
-  std::size_t ledger_bytes(const std::string& account) const;
-  std::size_t ledger_peak(const std::string& account) const;
-  std::size_t ledger_budget(const std::string& account) const;
-
  private:
-  struct LedgerAccount {
-    std::size_t bytes = 0;
-    std::size_t peak = 0;
-    std::size_t budget = 0;  // 0 = unlimited (device capacity still applies)
-  };
-
   mutable std::mutex mu_;
   DeviceSpec spec_;
   int id_;
@@ -145,7 +126,6 @@ class Device {
   KernelStats total_stats_;
   std::size_t allocated_ = 0;
   std::size_t peak_allocated_ = 0;
-  std::map<std::string, LedgerAccount> ledger_;
   StatsSink* sink_ = nullptr;
   std::string kernel_;  // the emitted event's name, valid during the callback
   int tree_ = -1;
@@ -187,9 +167,10 @@ class OutOfDeviceMemory : public std::runtime_error {
   std::size_t capacity;
 };
 
-// Thrown by Device::ledger_charge when a charge would overrun the account's
-// configured budget. Distinct from OutOfDeviceMemory so callers can tell a
-// policy bound ("--max-device-mb too small") apart from physical capacity.
+// Thrown when an allocation would overrun a configured budget below the
+// device's capacity (the out-of-core block cache's, data/paged_dataset.h).
+// Distinct from OutOfDeviceMemory so callers can tell a policy bound
+// ("--max-device-mb too small") apart from physical capacity.
 class DeviceBudgetExceeded : public std::runtime_error {
  public:
   DeviceBudgetExceeded(std::string account, std::size_t requested,

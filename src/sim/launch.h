@@ -120,6 +120,9 @@ class BlockCtx {
     if (check_ != nullptr) check_->end_commit();
   }
   bool committed() const { return committed_; }
+  // Whether the race/memory checker watches this block: a kernel that reads
+  // memory both through a view and straight from storage picks once.
+  bool checked() const { return check_ != nullptr; }
 
   // --- checked views --------------------------------------------------------
   // Non-counting accessor views observed by the race/memory checker when it

@@ -75,6 +75,8 @@ TEST_P(AllSystemsTest, TrainsToReasonableAccuracy) {
   EXPECT_GT(result.value, 75.0) << GetParam() << " underfits separable blobs";
   EXPECT_GT(system->report().modeled_seconds, 0.0);
   EXPECT_EQ(system->report().per_tree_seconds.size(), 8u);
+  // Every system books its resident device memory.
+  EXPECT_GT(system->report().peak_device_bytes, 0u) << GetParam();
 
   ASSERT_TRUE(pinned_modeled_seconds().count(GetParam())) << "no pin";
   EXPECT_EQ(system->report().modeled_seconds,

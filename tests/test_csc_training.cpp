@@ -124,7 +124,7 @@ TEST(CscLevelSweepTest, MatchesDenseBuilderAcrossNodes) {
     in.node_totals = totals;
     in.node_count = static_cast<std::uint32_t>(rows.size());
     sim::Device ref_dev(sim::DeviceSpec::rtx4090());
-    make_global_builder()->build(ref_dev, in, hist);
+    build_histogram(ref_dev, HistMethod::kGlobal, in, hist);
     return hist;
   };
   const auto ref0 = dense_build(node_rows[0], totals0);

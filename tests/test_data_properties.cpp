@@ -202,8 +202,8 @@ TEST(BinPackProperties, BinnedMatrixPackedTail) {
   data::BinnedMatrix binned(x, cuts);
   binned.pack();
   ASSERT_TRUE(binned.packed());
-  ASSERT_EQ(binned.words_per_col(), 3u);
   const auto packed = binned.packed_col(0);
+  ASSERT_EQ(packed.size(), 3u);
   for (std::size_t r = 0; r < binned.n_rows(); ++r) {
     EXPECT_EQ(data::unpack_bin(packed[r / 4], r % 4), binned.bin(r, 0));
   }

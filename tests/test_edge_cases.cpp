@@ -163,7 +163,7 @@ TEST(AdaptiveBuilder, PrefersSharedUnderHighContentionHighD) {
     sim::Device dev(sim::DeviceSpec::rtx4090());
     NodeHistogram hist;
     hist.resize(layout);
-    make_builder(m)->build(dev, in, hist);
+    build_histogram(dev, m, in, hist);
     return dev.modeled_seconds();
   };
   const double t_auto = time_of(HistMethod::kAuto);

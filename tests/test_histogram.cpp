@@ -270,18 +270,18 @@ TEST_P(BuilderEquivalence, AllStrategiesMatchScalarReference) {
       {HistMethod::kAuto, true, true, false},
   };
   for (const auto& k : cases) {
-    auto builder = make_builder(k.method);
     sim::Device dev(spec);
     NodeHistogram hist;
     hist.resize(fx.layout);
-    builder->build(dev, fx.input(k.packed, k.sparsity_aware, k.csc), hist);
-    expect_equal(fx.layout, hist, expected, builder->name());
+    build_histogram(dev, k.method, fx.input(k.packed, k.sparsity_aware, k.csc),
+                    hist);
+    expect_equal(fx.layout, hist, expected, hist_method_name(k.method));
     EXPECT_GT(dev.modeled_seconds(), 0.0);
     // smem blocks take 1024-row chunks, gmem blocks 256.
     if (k.method == HistMethod::kShared || k.method == HistMethod::kGlobal) {
       const std::size_t chunk = k.method == HistMethod::kShared ? 1024 : 256;
       expect_bitwise(hist, fx.chunked_reference(chunk, k.sparsity_aware),
-                     builder->name());
+                     hist_method_name(k.method));
     }
   }
 }
@@ -346,7 +346,7 @@ TEST(SubtractHistogramsTest, ParentMinusChildIsSibling) {
     in.node_rows = rows;
     in.node_count = static_cast<std::uint32_t>(rows.size());
     sim::Device dev(sim::DeviceSpec::rtx4090());
-    make_global_builder()->build(dev, in, hist);
+    build_histogram(dev, HistMethod::kGlobal, in, hist);
     return hist;
   };
   const auto parent = build_for(fx.rows);
@@ -530,8 +530,8 @@ TEST(HistogramBuilders, KernelChargesArePinned) {
       dev.set_sink(&log);
       NodeHistogram hist;
       hist.resize(fx.layout);
-      make_builder(p.method)->build(
-          dev, fx.input(p.packed, p.sparsity_aware, false), hist);
+      build_histogram(dev, p.method,
+                      fx.input(p.packed, p.sparsity_aware, false), hist);
       NodeHistogram sibling = hist;
       subtract_histograms(dev, fx.layout, fx.features, hist, sibling);
       const auto where = std::string(hist_method_name(p.method)) +
@@ -574,12 +574,12 @@ TEST(HistogramBuilders, ScratchSurvivesSortReduceRunsOnSameThread) {
       sim::Device dev(sim::DeviceSpec::rtx4090());
       NodeHistogram hist;
       hist.resize(small.layout);
-      make_builder(HistMethod::kSortReduce)
-          ->build(dev, small.input(false, false, false), hist);
+      build_histogram(dev, HistMethod::kSortReduce,
+                      small.input(false, false, false), hist);
       expect_equal(small.layout, hist, small.reference(), "sort-reduce");
       for (const auto method : {HistMethod::kGlobal, HistMethod::kShared}) {
         hist.resize(large.layout);
-        make_builder(method)->build(dev, large.input(false, false, false), hist);
+        build_histogram(dev, method, large.input(false, false, false), hist);
         expect_bitwise(hist,
                        large.chunked_reference(
                            method == HistMethod::kShared ? 1024 : 256, false),
@@ -627,7 +627,7 @@ TEST(HistogramBuilders, TilesStayZeroAcrossBuildsOnOneThread) {
     sim::Device dev(spec);
     NodeHistogram hist;
     hist.resize(fx.layout);
-    make_builder(b.method)->build(dev, fx.input(true, true, false), hist);
+    build_histogram(dev, b.method, fx.input(true, true, false), hist);
     return hist;
   };
   const auto on_thread = [](auto&& body) {

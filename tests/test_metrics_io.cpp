@@ -242,6 +242,79 @@ TEST(IoTest, RaggedRowNamesExpectedCellCount) {
       << rank;
 }
 
+// The rejections below used to name a source file of the program (a failed
+// GBMO_CHECK) instead of a place in the input.
+TEST(IoTest, LibsvmFeatureIndexPastFeaturesNamesLineAndColumn) {
+  const auto e =
+      libsvm_error("0 0:1\n1 0:2 40:1\n", 40, data::TaskKind::kMulticlass, 3);
+  EXPECT_TRUE(has(e, "libsvm line 2, column 3") &&
+              has(e, "feature index 40 is past the 40 features"))
+      << e;
+}
+
+TEST(IoTest, LibsvmPairWithoutColonNamesLineAndColumn) {
+  const auto e = libsvm_error("0 0:1 5\n", 6, data::TaskKind::kMulticlass, 3);
+  EXPECT_TRUE(has(e, "libsvm line 1, column 3") && has(e, "'5'")) << e;
+}
+
+TEST(IoTest, LibsvmMultilabelIdPastOutputsNamesLine) {
+  const auto e =
+      libsvm_error("0,1 0:1\n0,3 0:2\n", 1, data::TaskKind::kMultilabel, 3);
+  EXPECT_TRUE(has(e, "libsvm line 2, column 1") && has(e, "label id 3")) << e;
+}
+
+TEST(IoTest, LibsvmMultiregressTargetCountNamesLine) {
+  const auto e = libsvm_error("1,2,3 0:1\n1,2 0:1\n", 1,
+                              data::TaskKind::kMultiregression, 3);
+  EXPECT_TRUE(has(e, "libsvm line 2, column 1") &&
+              has(e, "expected 3 targets, got 2"))
+      << e;
+}
+
+TEST(IoTest, LibsvmRankingLabelMustBeQidRel) {
+  const auto e =
+      libsvm_error("1,2 0:1\n3 0:1\n", 1, data::TaskKind::kRanking, 1);
+  EXPECT_TRUE(has(e, "libsvm line 2, column 1") && has(e, "'3'")) << e;
+}
+
+TEST(IoTest, ClassIdPastOutputsNamesLineAndColumn) {
+  const auto csv = csv_error("task,multiclass,3\n0.5,1\n0.5,7\n", 1);
+  EXPECT_TRUE(has(csv, "CSV line 3, column 2") && has(csv, "label id 7"))
+      << csv;
+  const auto svm =
+      libsvm_error("1 0:1\n-1 0:1\n", 1, data::TaskKind::kMulticlass, 3);
+  EXPECT_TRUE(has(svm, "libsvm line 2, column 1") && has(svm, "label id -1"))
+      << svm;
+}
+
+TEST(IoTest, NonContiguousQueryNamesLineAndColumn) {
+  const auto csv =
+      csv_error("task,ranking,1\n0.5,1,0\n0.5,2,1\n0.5,1,2\n", 1);
+  EXPECT_TRUE(has(csv, "CSV line 4, column 2") &&
+              has(csv, "query id 1 is not contiguous"))
+      << csv;
+  const auto svm = libsvm_error("1,0 0:1\n2,1 0:1\n1,2 0:1\n", 1,
+                                data::TaskKind::kRanking, 1);
+  EXPECT_TRUE(has(svm, "libsvm line 3, column 1") &&
+              has(svm, "query id 1 is not contiguous"))
+      << svm;
+}
+
+TEST(IoTest, NegativeRelevanceNamesLineAndColumn) {
+  const auto csv = csv_error("task,ranking,1\n0.5,1,0\n0.5,1,-1\n", 1);
+  EXPECT_TRUE(has(csv, "CSV line 3, column 3") && has(csv, "'-1'")) << csv;
+  const auto svm =
+      libsvm_error("1,-1 0:1\n", 1, data::TaskKind::kRanking, 1);
+  EXPECT_TRUE(has(svm, "libsvm line 1, column 1") && has(svm, "'-1'")) << svm;
+}
+
+// A CSV indicator cell of 3 used to load and train.
+TEST(IoTest, CsvMultilabelIndicatorMustBeZeroOrOne) {
+  const auto e = csv_error("task,multilabel,2\n0.5,1,0\n0.5,3,1\n", 1);
+  EXPECT_TRUE(has(e, "CSV line 3, column 2") && has(e, "'3' is not 0 or 1"))
+      << e;
+}
+
 // Files with CRLF line endings load exactly as their LF originals.
 TEST(IoTest, CrlfFilesLoadLikeLf) {
   data::MulticlassSpec mc;

@@ -2,8 +2,8 @@
 // feature tiles under a device-memory budget while the trained model stays
 // bitwise-identical to in-core training — at every budget, tile height and
 // --sim-threads value. Also covers modeled-time monotonicity as the budget
-// shrinks, the memory-ledger hard-fail when the budget cannot hold one
-// feature's working set, GOSS shrinking the paged working set, profiler
+// shrinks, the budget hard-fail when the cache cannot hold one feature's
+// working set (before anything changes) and the device's capacity bound, GOSS shrinking the paged working set, profiler
 // visibility of transfers, and fault-injected staging.
 #include <gtest/gtest.h>
 
@@ -224,7 +224,7 @@ TEST(OutOfCore, ModeledTimeMonotoneAsBudgetShrinks) {
 
 TEST(OutOfCore, BudgetBelowWorkingSetHardFails) {
   // One tile of budget but four tiles pinned per staged feature: the LRU has
-  // nothing evictable left and the ledger must refuse, not silently overrun.
+  // nothing evictable left and the cache must refuse, not silently overrun.
   const auto d = dense_data();
   auto cfg = cfg_base();
   cfg.stream_chunk_rows = 64;
@@ -252,6 +252,62 @@ TEST(OutOfCore, BudgetExceptionCarriesLedgerDetail) {
     EXPECT_EQ(e.budget, 8u);
     EXPECT_GT(e.requested, e.budget);
   }
+}
+
+// A staged tile that would overrun the cache's budget throws before the
+// cache books or transfers it: the device's memory, its modeled time and the
+// cache's transferred bytes still show only the tiles already resident.
+TEST(OutOfCore, BudgetOverrunThrowsBeforeAnythingChanges) {
+  const auto d = dense_data();
+  const auto cuts = data::BinCuts::build(d.x, 32);
+  data::BinnedMatrix binned(d.x, cuts);
+  binned.pack();
+  const data::PagedDataset paged(binned, 64);
+  const std::size_t tile = paged.block_bytes(0, 0);
+  sim::Device dev(sim::DeviceSpec::rtx4090());
+  data::BlockCache cache(dev, paged, 2 * tile - 1);
+  const std::vector<std::uint32_t> first_chunk = {0};
+  cache.stage_feature(0, first_chunk);
+  const auto allocated = dev.allocated_bytes();
+  const auto seconds = dev.modeled_seconds();
+  ASSERT_EQ(allocated, tile);
+
+  const std::vector<std::uint32_t> two_chunks = {0, 64};
+  try {
+    cache.stage_feature(1, two_chunks);  // (1, 0) evicts (0, 0); (1, 1) fails
+    FAIL() << "expected DeviceBudgetExceeded";
+  } catch (const sim::DeviceBudgetExceeded& e) {
+    EXPECT_EQ(e.account, data::BlockCache::kLedgerAccount);
+    EXPECT_EQ(e.requested, tile);
+    EXPECT_EQ(e.used, tile);
+    EXPECT_EQ(e.budget, 2 * tile - 1);
+  }
+  EXPECT_EQ(dev.allocated_bytes(), allocated);
+  EXPECT_EQ(cache.stats().bytes_transferred, 2 * tile);
+  EXPECT_GT(dev.modeled_seconds(), seconds);  // (1, 0)'s transfer only
+  const auto after = dev.modeled_seconds();
+  EXPECT_THROW(cache.stage_feature(1, two_chunks), sim::DeviceBudgetExceeded);
+  EXPECT_EQ(dev.allocated_bytes(), allocated);
+  EXPECT_EQ(dev.modeled_seconds(), after);
+}
+
+// With no budget, the device's capacity still bounds the cache: a tile that
+// does not fit throws OutOfDeviceMemory and leaves nothing resident.
+TEST(OutOfCore, CacheStillEnforcesDeviceCapacity) {
+  const auto d = dense_data();
+  const auto cuts = data::BinCuts::build(d.x, 32);
+  data::BinnedMatrix binned(d.x, cuts);
+  binned.pack();
+  const data::PagedDataset paged(binned, 64);
+  sim::DeviceSpec spec = sim::DeviceSpec::rtx4090();
+  spec.memory_bytes = paged.block_bytes(0, 0) - 1;
+  sim::Device dev(spec);
+  data::BlockCache cache(dev, paged, 0);
+  const std::vector<std::uint32_t> first_chunk = {0};
+  EXPECT_THROW(cache.stage_feature(0, first_chunk), sim::OutOfDeviceMemory);
+  EXPECT_EQ(dev.allocated_bytes(), 0u);
+  EXPECT_EQ(dev.modeled_seconds(), 0.0);
+  EXPECT_EQ(cache.stats().bytes_transferred, 0u);
 }
 
 // --- GOSS interplay ---------------------------------------------------------

@@ -130,94 +130,44 @@ TEST(ConflictTrackerTest, RepeatedAddressesReportCollisions) {
   EXPECT_GT(same_hits, 10 * distinct_hits + 100);
 }
 
-// The d-wide bulk add on a counting view charges and adds exactly what the
-// same per-word atomic_add calls do; on a passthrough view it adds the same
-// values.
+// The d-wide bulk add adds exactly what the same per-word atomic_add calls
+// do: on a passthrough view, and with the checker armed on checked global
+// and shared views, where the checker sees every word (a bulk add that runs
+// past its region is flagged word by word and the stray words are dropped).
 TEST(AccessorsTest, BulkAtomicAddMatchesPerWordAdds) {
   const auto src = [](std::size_t k) { return 0.5f + static_cast<float>(k); };
-  std::vector<float> bulk(12, 1.0f), words(12, 1.0f), plain(12, 1.0f);
-  KernelStats bulk_stats, word_stats;
-  Global<float> gb(std::span<float>(bulk), bulk_stats);
-  Global<float> gw(std::span<float>(words), word_stats);
+  std::vector<float> words(12, 1.0f), plain(12, 1.0f);
+  Global<float> gw(std::span<float>(words), nullptr, "words");
   Global<float> gp(std::span<float>(plain), nullptr, "plain");
   for (int pass = 0; pass < 3; ++pass) {
-    gb.atomic_add_n(2, 9, src);
     for (std::size_t k = 0; k < 9; ++k) gw.atomic_add(2 + k, src(k));
     gp.atomic_add_n(2, 9, src);
   }
-  EXPECT_EQ(bulk, words);
   EXPECT_EQ(plain, words);
-  EXPECT_EQ(bulk_stats.atomic_global_ops, 27u);
-  EXPECT_EQ(bulk_stats.atomic_global_ops, word_stats.atomic_global_ops);
-  EXPECT_EQ(bulk_stats.atomic_global_conflicts, word_stats.atomic_global_conflicts);
 
+  std::vector<float> checked(12, 1.0f), edge(4, 0.0f);
   std::vector<float> sbulk(5, 0.0f), swords(5, 0.0f);
-  KernelStats sbulk_stats, sword_stats;
-  Shared<float> sb(sbulk, sbulk_stats);
-  Shared<float> sw(swords, sword_stats);
-  for (int pass = 0; pass < 5; ++pass) {
-    sb.atomic_add_n(0, 5, src);
-    for (std::size_t k = 0; k < 5; ++k) sw.atomic_add(k, src(k));
-  }
+  set_sim_check(CheckMode::kReport);
+  Device dev(DeviceSpec::rtx4090());
+  const auto res = launch(dev, "bulk_add", 1, 1, [&](BlockCtx& blk) {
+    EXPECT_TRUE(blk.checked());
+    auto g = blk.global_view(std::span<float>(checked), "checked");
+    auto e = blk.global_view(std::span<float>(edge), "edge");
+    auto sb = blk.shared_view(sbulk, "sbulk", SharedInit::kZeroed);
+    auto sw = blk.shared_view(swords, "swords", SharedInit::kZeroed);
+    for (int pass = 0; pass < 3; ++pass) g.atomic_add_n(2, 9, src);
+    for (int pass = 0; pass < 5; ++pass) {
+      sb.atomic_add_n(0, 5, src);
+      for (std::size_t k = 0; k < 5; ++k) sw.atomic_add(k, src(k));
+    }
+    e.atomic_add_n(2, 4, src);  // words 4 and 5 lie past the region
+  });
+  reset_sim_check();
+  CheckReport::instance().clear();
+  EXPECT_EQ(checked, words);
   EXPECT_EQ(sbulk, swords);
-  EXPECT_EQ(sbulk_stats.atomic_shared_ops, 25u);
-  EXPECT_EQ(sbulk_stats.atomic_shared_ops, sword_stats.atomic_shared_ops);
-  EXPECT_EQ(sbulk_stats.atomic_shared_conflicts, sword_stats.atomic_shared_conflicts);
-  EXPECT_GT(sbulk_stats.atomic_shared_conflicts, 0u);
-}
-
-TEST(MemoryLedger, ChargeReleasePeakAndBudget) {
-  Device dev(DeviceSpec::rtx4090());
-  EXPECT_EQ(dev.ledger_bytes("cache"), 0u);
-  EXPECT_EQ(dev.ledger_budget("cache"), 0u);  // unknown account: all zeros
-
-  dev.ledger_set_budget("cache", 1024);
-  EXPECT_EQ(dev.ledger_budget("cache"), 1024u);
-  dev.ledger_charge("cache", 600);
-  dev.ledger_charge("cache", 400);
-  EXPECT_EQ(dev.ledger_bytes("cache"), 1000u);
-  EXPECT_EQ(dev.ledger_peak("cache"), 1000u);
-  // Ledger charges are real device allocations too.
-  EXPECT_EQ(dev.allocated_bytes(), 1000u);
-
-  dev.ledger_release("cache", 500);
-  EXPECT_EQ(dev.ledger_bytes("cache"), 500u);
-  EXPECT_EQ(dev.ledger_peak("cache"), 1000u);  // peak sticks
-  EXPECT_EQ(dev.allocated_bytes(), 500u);
-
-  // Accounts are independent; budget 0 means unbounded.
-  dev.ledger_charge("other", 1 << 20);
-  EXPECT_EQ(dev.ledger_bytes("other"), std::size_t{1} << 20);
-  EXPECT_EQ(dev.ledger_bytes("cache"), 500u);
-}
-
-TEST(MemoryLedger, BudgetOverrunHardFailsBeforeMutating) {
-  Device dev(DeviceSpec::rtx4090());
-  dev.ledger_set_budget("cache", 256);
-  dev.ledger_charge("cache", 200);
-  const auto allocated = dev.allocated_bytes();
-  EXPECT_THROW(dev.ledger_charge("cache", 100), DeviceBudgetExceeded);
-  // The failed charge left no trace in either the account or the device.
-  EXPECT_EQ(dev.ledger_bytes("cache"), 200u);
-  EXPECT_EQ(dev.allocated_bytes(), allocated);
-  try {
-    dev.ledger_charge("cache", 100);
-    FAIL() << "expected DeviceBudgetExceeded";
-  } catch (const DeviceBudgetExceeded& e) {
-    EXPECT_EQ(e.account, "cache");
-    EXPECT_EQ(e.requested, 100u);
-    EXPECT_EQ(e.used, 200u);
-    EXPECT_EQ(e.budget, 256u);
-  }
-}
-
-TEST(MemoryLedger, CapacityStillEnforced) {
-  DeviceSpec spec = DeviceSpec::rtx4090();
-  spec.memory_bytes = 1024;
-  Device dev(spec);
-  // No account budget, but the physical capacity check still applies.
-  EXPECT_THROW(dev.ledger_charge("cache", 4096), OutOfDeviceMemory);
-  EXPECT_EQ(dev.ledger_bytes("cache"), 0u);
+  EXPECT_EQ(edge, (std::vector<float>{0.0f, 0.0f, 0.5f, 1.5f}));
+  EXPECT_EQ(res.stats.check_violations, 2u);
 }
 
 TEST(PhaseAccounting, TimeLandsInCurrentPhase) {

@@ -115,6 +115,17 @@ struct TinyProblem {
   }
 };
 
+// find_best_splits on one node.
+SplitResult split_one(sim::Device& dev, const HistogramLayout& layout,
+                      const NodeHistogram& hist,
+                      std::span<const sim::GradPair> totals,
+                      std::uint32_t count,
+                      std::span<const std::uint32_t> features,
+                      const TrainConfig& cfg, SplitScratch& scratch) {
+  const NodeSplitInput node{&hist, totals, count};
+  return find_best_splits(dev, layout, {&node, 1}, features, cfg, scratch)[0];
+}
+
 class SplitBruteForce
     : public ::testing::TestWithParam<std::tuple<int, float, std::uint64_t>> {};
 
@@ -127,9 +138,9 @@ TEST_P(SplitBruteForce, MatchesExhaustiveSearch) {
 
   SplitScratch scratch;
   sim::Device dev(sim::DeviceSpec::rtx4090());
-  const auto fast = find_best_split(dev, p.layout, p.hist, p.totals,
-                                    static_cast<std::uint32_t>(p.rows.size()),
-                                    p.features, cfg, scratch);
+  const auto fast = split_one(dev, p.layout, p.hist, p.totals,
+                              static_cast<std::uint32_t>(p.rows.size()),
+                              p.features, cfg, scratch);
   const auto slow = p.brute_force(cfg);
 
   ASSERT_EQ(fast.valid(), slow.valid());
@@ -153,8 +164,8 @@ TEST(SplitConstraints, MinInstancesBlocksSmallChildren) {
   cfg.min_instances_per_node = 16;  // no split can satisfy 16+16 > 30
   SplitScratch scratch;
   sim::Device dev(sim::DeviceSpec::rtx4090());
-  const auto res = find_best_split(dev, p.layout, p.hist, p.totals, 30,
-                                   p.features, cfg, scratch);
+  const auto res =
+      split_one(dev, p.layout, p.hist, p.totals, 30, p.features, cfg, scratch);
   EXPECT_FALSE(res.valid());
 }
 
@@ -193,10 +204,10 @@ TEST(SplitBatched, MatchesPerNodeResults) {
   auto [h0, t0, c0] = node_of(0);
   auto [h1, t1, c1] = node_of(1);
 
-  const auto r0 = find_best_split(dev, base.layout, h0, t0, c0, base.features,
-                                  cfg, scratch);
-  const auto r1 = find_best_split(dev, base.layout, h1, t1, c1, base.features,
-                                  cfg, scratch);
+  const auto r0 =
+      split_one(dev, base.layout, h0, t0, c0, base.features, cfg, scratch);
+  const auto r1 =
+      split_one(dev, base.layout, h1, t1, c1, base.features, cfg, scratch);
 
   std::vector<NodeSplitInput> inputs = {{&h0, t0, c0}, {&h1, t1, c1}};
   const auto batched =

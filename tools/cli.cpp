@@ -764,7 +764,7 @@ bitwise --sim-threads determinism guarantee.
 Out-of-core streaming (DESIGN.md §12): --max-device-mb N caps the
 device-resident bin-block cache at N MiB — feature blocks page in on demand
 over the modeled PCIe link (LRU eviction, transfers charged to the "page"
-phase and accounted in the device memory ledger, which hard-fails if the
+phase, resident tiles counted as device memory; the cache hard-fails if the
 budget cannot hold one feature's working set). --stream-chunk-rows N sets
 the height of those blocks in rows. The trained model is bit-identical to
 in-core training at every budget, block height and --sim-threads value;
